@@ -62,6 +62,7 @@ from .oracle import (
     HermitianForm,
     MatrixClassKind,
     MatrixRep,
+    OracleInvariantError,
     block_matrix,
     build_group,
     char_poly,
@@ -72,6 +73,7 @@ from .oracle import (
     gl_class_data,
     group_table,
     hermitian_form,
+    power_image,
     power_image_counts,
 )
 

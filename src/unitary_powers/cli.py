@@ -166,9 +166,7 @@ def run_table(cfg: RunConfig) -> Report:
     rows = []
     for n in range(1, cfg.n_max + 1):
         G = oracle.group_table(n, cfg.q)
-        image = None
-        if cfg.M > 1:
-            image = {(A**cfg.M).codes for A in G.elements}
+        image = oracle.power_image(G, cfg.M) if cfg.M > 1 else None
         for idx, c in enumerate(G.classes):
             row = {
                 "n": n, "class_index": idx, "size": c.size,

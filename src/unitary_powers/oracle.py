@@ -3,16 +3,22 @@
 U(n, q) is realised concretely as the invertible n x n matrices A over F_q2
 with A L conj(A)^t = L, where L is the anti-diagonal Hermitian form.  Groups
 are built either by scanning the full candidate space or, past the scan
-bound, by multiplicative closure from structured seed elements (diagonal,
-unipotent upper-triangular, and monomial unitary matrices, which generate).
+bound, by multiplicative closure of a small generating set S.  S is chosen
+greedily from structured seed elements (diagonal, unipotent upper-triangular
+and monomial unitary matrices, which generate), trying seeds of larger
+element order first: a seed joins S only when it lies outside the subgroup S
+generates so far, so each one at least doubles that subgroup and
+|S| <= log2 |G|.  Scan-built groups get the same S.
 
 Every invertible matrix gets a conjugacy datum: the map from the irreducible
 factors of its characteristic polynomial to partitions, read off the kernel
 dimensions of powers of phi(A), with tilde-conjugate pairs stored once under
-the smaller member.  U-conjugacy classes are computed by the conjugation
-action inside the group and then cross-checked against the datum fibers
-(unitary conjugacy agrees with GL-conjugacy, so the two partitions of the
-group must coincide; a mismatch raises).
+the smaller member.  U-conjugacy classes are the orbits of X -> s X s^(-1)
+for s in S, each closed from its smallest member, which costs 2 |G| |S|
+matrix products in all.  Every orbit is checked against the fiber of its
+datum: unitary conjugacy agrees with GL-conjugacy, so the two partitions of
+the group must coincide, and orbits that come out smaller than their fibers
+(as they would if S failed to generate G) raise `OracleInvariantError`.
 
 `power_image_counts` pushes the whole group through g -> g^M and tabulates
 elements and classes of the image per matrix family.  `check_block_power`
@@ -37,6 +43,7 @@ from .series import group_order_U
 __all__ = [
     "DEFAULT_SCAN_BOUND",
     "SCAN_BOUND_ENV",
+    "OracleInvariantError",
     "MatrixRep",
     "HermitianForm",
     "hermitian_form",
@@ -51,6 +58,7 @@ __all__ = [
     "datum_of",
     "gl_class_data",
     "char_poly",
+    "power_image",
     "power_image_counts",
     "PowerImageCounts",
     "companion",
@@ -60,6 +68,11 @@ __all__ = [
 
 DEFAULT_SCAN_BOUND = 1 << 22
 SCAN_BOUND_ENV = "UPC_SCAN_BOUND"
+
+
+class OracleInvariantError(RuntimeError):
+    """An invariant of the oracle's construction failed; the results it
+    guards cannot be trusted."""
 
 
 def _scan_bound(explicit=None) -> int:
@@ -330,17 +343,25 @@ class MatrixClassKind:
             raise ValueError("cyclic + semisimple must imply separable")
 
 
-def kind_of_datum(datum: ConjugacyDatum) -> MatrixClassKind:
-    lams = [lam for _, lam in datum.items()]
+def _kind_of_partitions(lams) -> MatrixClassKind:
+    """Family flags from the partitions of the factors: separable means all
+    partitions are [1], semisimple all-ones partitions, cyclic single-part
+    partitions."""
+    lams = list(lams)
     cyclic = all(len(lam) == 1 for lam in lams)
     semisimple = all(set(lam) == {1} for lam in lams)
     return MatrixClassKind(cyclic and semisimple, cyclic, semisimple)
 
 
+def kind_of_datum(datum: ConjugacyDatum) -> MatrixClassKind:
+    return _kind_of_partitions(lam for _, lam in datum.items())
+
+
 def _conjugate_partition(cs: list[int]) -> tuple[int, ...]:
     if not cs:
         return ()
-    assert all(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)), "kernel steps must decrease"
+    if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
+        raise OracleInvariantError("kernel steps must decrease")
     return tuple(sum(1 for c in cs if c >= i) for i in range(1, cs[0] + 1))
 
 
@@ -368,13 +389,19 @@ def gl_class_data(A: MatrixRep) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
         while prev < target:
             k = n - _rank(desc, Bj.rows())
             step, rem = divmod(k - prev, d)
-            assert rem == 0, "kernel growth must be a multiple of the factor degree"
+            if rem:
+                raise OracleInvariantError(
+                    "kernel growth must be a multiple of the factor degree"
+                )
             cs.append(step)
             prev = k
             if prev < target:
                 Bj = Bj * B
         lam = _conjugate_partition(cs)
-        assert sum(lam) == mult
+        if sum(lam) != mult:
+            raise OracleInvariantError(
+                f"partition {lam} does not match the multiplicity {mult} of {phi}"
+            )
         out.append((phi, lam))
     return tuple(out)
 
@@ -409,10 +436,7 @@ def classify_matrix(A: MatrixRep) -> MatrixClassKind:
     [1]); semisimple means squarefree minimal polynomial (all-ones
     partitions); cyclic means minimal = characteristic (single-part
     partitions)."""
-    lams = [lam for _, lam in gl_class_data(A)]
-    cyclic = all(len(lam) == 1 for lam in lams)
-    semisimple = all(set(lam) == {1} for lam in lams)
-    return MatrixClassKind(cyclic and semisimple, cyclic, semisimple)
+    return _kind_of_partitions(lam for _, lam in gl_class_data(A))
 
 
 # ----------------------------------------------------------------------
@@ -429,12 +453,14 @@ class ConjClass:
 
 
 class GroupTable:
-    """Explicit element list of U(n, q), with lazily computed classes."""
+    """Explicit element list of U(n, q) and the generating set it was built
+    with, with lazily computed classes."""
 
-    def __init__(self, n: int, q: int, desc: FieldDesc, elements):
+    def __init__(self, n: int, q: int, desc: FieldDesc, elements, generators):
         self.n = n
         self.q = q
         self.desc = desc
+        self.generators = tuple(generators)
         self.elements = sorted(elements, key=lambda A: A.codes)
         self.index = {A.codes: i for i, A in enumerate(self.elements)}
         self.order = len(self.elements)
@@ -459,21 +485,32 @@ class GroupTable:
             dm = datum_of(A)
             data[A.codes] = dm
             fibers.setdefault(dm, set()).add(A.codes)
-        inverses = {A.codes: _unitary_inverse(A) for A in self.elements}
+        pairs = [(s, _unitary_inverse(s)) for s in self.generators]
         seen: set = set()
         out = []
         for A in self.elements:
             if A.codes in seen:
                 continue
-            orbit = {(B * A * inverses[B.codes]).codes for B in self.elements}
+            orbit = {A.codes}
+            frontier = [A]
+            while frontier:
+                fresh = []
+                for X in frontier:
+                    for s, s_inv in pairs:
+                        Y = s * X * s_inv
+                        if Y.codes not in orbit:
+                            orbit.add(Y.codes)
+                            fresh.append(Y)
+                frontier = fresh
             dm = data[A.codes]
             if orbit != fibers[dm]:
-                raise AssertionError(
+                raise OracleInvariantError(
                     "mismatch between unitary conjugation orbits and class data"
                 )
             seen |= orbit
             out.append(ConjClass(A, len(orbit), frozenset(orbit), dm, kind_of_datum(dm)))
-        assert sum(c.size for c in out) == self.order
+        if sum(c.size for c in out) != self.order:
+            raise OracleInvariantError("class sizes do not sum to the group order")
         return tuple(out)
 
 
@@ -506,7 +543,10 @@ def _scan_elements(desc: FieldDesc, n: int):
 
 def _seed_elements(desc: FieldDesc, n: int):
     """Structured unitary matrices that generate U(n, q): the diagonal torus,
-    the unipotent upper-triangular radical, and the unitary monomials."""
+    the unipotent upper-triangular radical, and the unitary monomials.
+
+    They come in the order they are tried as generators: larger element
+    order first, which keeps the generating set small, ties by codes."""
     Q = desc.order
     seeds = []
     for diag in itertools.product(range(1, Q), repeat=n):
@@ -532,24 +572,48 @@ def _seed_elements(desc: FieldDesc, n: int):
             if is_unitary(A):
                 seeds.append(A)
     unique = {A.codes: A for A in seeds}
-    return [unique[c] for c in sorted(unique)]
+    return sorted(unique.values(), key=lambda A: (-_element_order(A), A.codes))
 
 
-def _closure_elements(desc: FieldDesc, n: int, expected: int):
-    seeds = _seed_elements(desc, n)
-    group = {A.codes: A for A in seeds}
-    group.setdefault(MatrixRep.identity(desc, n).codes, MatrixRep.identity(desc, n))
-    frontier = list(group.values())
-    while frontier and len(group) < expected:
-        fresh = []
-        for A in frontier:
-            for S in seeds:
-                B = A * S
-                if B.codes not in group:
-                    group[B.codes] = B
-                    fresh.append(B)
-        frontier = fresh
-    return list(group.values())
+def _element_order(A: MatrixRep) -> int:
+    ident = MatrixRep.identity(A.desc, A.n)
+    B, k = A, 1
+    while B != ident:
+        B, k = B * A, k + 1
+    return k
+
+
+def _greedy_generators(desc: FieldDesc, n: int, expected: int):
+    """A generating set chosen greedily from the seeds, in their order, and
+    the subgroup it generates (codes -> matrix).
+
+    A seed joins the set only when it lies outside the subgroup generated so
+    far; the subgroup is then extended by closing under right
+    multiplication, the old elements by the new generator and the new
+    elements by all of them.  The choice stops once the subgroup reaches the
+    expected order.
+    """
+    ident = MatrixRep.identity(desc, n)
+    group = {ident.codes: ident}
+    gens: list[MatrixRep] = []
+    for seed in _seed_elements(desc, n):
+        if len(group) >= expected:
+            break
+        if seed.codes in group:
+            continue
+        gens.append(seed)
+        frontier = list(group.values())
+        step = [seed]
+        while frontier:
+            fresh = []
+            for A in frontier:
+                for g in step:
+                    B = A * g
+                    if B.codes not in group:
+                        group[B.codes] = B
+                        fresh.append(B)
+            frontier, step = fresh, gens
+    return gens, group
 
 
 def build_group(n: int, q: int, scan_bound: int | None = None) -> GroupTable:
@@ -557,8 +621,10 @@ def build_group(n: int, q: int, scan_bound: int | None = None) -> GroupTable:
 
     Scans all q^(2 n^2) candidate matrices when that fits under the scan
     bound (the UPC_SCAN_BOUND environment variable overrides the default);
-    otherwise closes the structured seed elements under multiplication.
-    Either way the element count must equal the predicted group order.
+    otherwise closes a generating set, chosen greedily from structured seed
+    elements, under multiplication.  Scan-built groups get the same
+    generating set.  Either way the element count must equal the predicted
+    group order.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -566,15 +632,16 @@ def build_group(n: int, q: int, scan_bound: int | None = None) -> GroupTable:
     desc = make_field(p, l, 1)
     expected = group_order_U(n, q)
     bound = _scan_bound(scan_bound)
+    generators, closure = _greedy_generators(desc, n, expected)
     if desc.order ** (n * n) <= bound:
         elements = _scan_elements(desc, n)
     else:
-        elements = _closure_elements(desc, n, expected)
+        elements = list(closure.values())
     if len(elements) != expected:
-        raise RuntimeError(
+        raise OracleInvariantError(
             f"constructed {len(elements)} elements of U({n},{q}), expected {expected}"
         )
-    return GroupTable(n, q, desc, elements)
+    return GroupTable(n, q, desc, elements, generators)
 
 
 @lru_cache(maxsize=None)
@@ -601,20 +668,26 @@ class PowerImageCounts:
     classes: dict = field(compare=False)
 
 
+def power_image(G: GroupTable, M: int) -> set:
+    """Codes of the image {g^M : g in G}."""
+    return {(A**M).codes for A in G.elements}
+
+
 def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:
     """Tabulate the image of g -> g^M by family (M = 1 tabulates all of G).
 
     The image is a union of conjugacy classes, so classes are counted through
-    their representatives; this is asserted member by member.
+    their representatives; this is checked member by member.
     """
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
-    image = {(A**M).codes for A in G.elements}
+    image = power_image(G, M)
     elements = dict.fromkeys(_FAMILIES, 0)
     classes = dict.fromkeys(_FAMILIES, 0)
     for c in G.classes:
         inside = c.rep.codes in image
-        assert inside == c.member_codes.issubset(image), "image must be a class union"
+        if inside != c.member_codes.issubset(image):
+            raise OracleInvariantError("the power image must be a union of classes")
         if not inside:
             continue
         tags = ["all"]

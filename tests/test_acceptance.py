@@ -40,7 +40,7 @@ F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
 DESCS = {2: F4, 3: F9}
 
-ORACLE_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
+ORACLE_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (2, 5)]
 FAMILY_TAG = {"sep": "separable", "cyc": "cyclic", "ss": "semisimple"}
 
 
@@ -78,8 +78,8 @@ def test_criterion_2_group_orders():
         G = group_table(n, q)
         assert len(G) == group_order_U(n, q)
         sizes[(n, q)] = len(G)
-    assert [sizes[p] for p in ORACLE_PAIRS] == [3, 18, 648, 4, 96]
-    report("2 group orders", "3, 18, 648, 4, 96")
+    assert [sizes[p] for p in ORACLE_PAIRS] == [3, 18, 648, 4, 96, 300, 720]
+    report("2 group orders", "3, 18, 648, 4, 96, 300, 720")
 
 
 def test_criterion_3_separable_series_vs_oracle():
@@ -193,3 +193,24 @@ def test_criterion_9_block_power_conjugacy():
                         assert check_block_power(f, m, M), (q, str(f), m, M)
                         checked += 1
     report("9 block power conjugacy", f"{checked} (f,m,M) cells")
+
+
+def test_criterion_10_u33_classes_centralizers_and_squares():
+    G = group_table(3, 3)
+    order = group_order_U(3, 3)
+    assert len(G.classes) == 56
+    assert sum(c.size for c in G.classes) == order == 24192
+    checked = 0
+    for c in G.classes:
+        if c.kind.separable or c.kind.cyclic or c.kind.semisimple:
+            assert c.size * centralizer_order(c.datum, 3) == order, str(c.datum)
+            checked += 1
+    pic = power_image_counts(G, 2)
+    for tag, class_series, elem_series in (
+        ("separable", sep_class_series, sep_elem_series),
+        ("cyclic", cyc_class_series, cyc_elem_series),
+        ("semisimple", ss_class_series, ss_elem_series),
+    ):
+        assert class_series(3, 2, 3).coeff(3) == pic.classes[tag], tag
+        assert elem_series(3, 2, 3).coeff(3) == Fraction(pic.elements[tag], order), tag
+    report("10 U(3,3)", f"56 classes, {checked} centralizer identities, M = 2 series")

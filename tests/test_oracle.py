@@ -1,12 +1,19 @@
 """Brute-force oracle: group construction, class data, power images, blocks."""
 
-from math import gcd
+import os
+import subprocess
+import sys
+from math import ceil, gcd, log2
+from pathlib import Path
 
 import pytest
 
+import unitary_powers
 from unitary_powers.gf import make_field
 from unitary_powers.oracle import (
+    GroupTable,
     MatrixRep,
+    OracleInvariantError,
     block_matrix,
     build_group,
     char_poly,
@@ -72,10 +79,85 @@ def test_group_is_closed_under_products():
             assert (A * B) in G
 
 
-def test_closure_fallback_matches_the_scan():
-    scanned = build_group(2, 2)
-    closed = build_group(2, 2, scan_bound=10)
+def closure(gens, desc, n):
+    """Right-multiplication closure of gens from the identity."""
+    ident = MatrixRep.identity(desc, n)
+    seen = {ident.codes}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for A in frontier:
+            for s in gens:
+                B = A * s
+                if B.codes not in seen:
+                    seen.add(B.codes)
+                    fresh.append(B)
+        frontier = fresh
+    return seen
+
+
+def reference_classes(G):
+    """Classes by conjugating each smallest unseen element by every element."""
+    lam = hermitian_form(G.n, G.desc).entries
+    inverses = {B.codes: lam * B.conj_transpose() * lam for B in G.elements}
+    seen = set()
+    out = []
+    for A in G.elements:
+        if A.codes in seen:
+            continue
+        orbit = frozenset((B * A * inverses[B.codes]).codes for B in G.elements)
+        seen |= orbit
+        out.append((A.codes, len(orbit), orbit))
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (2, 4), (2, 5)])
+def test_closure_fallback_matches_the_scan(n, q):
+    scanned = build_group(n, q)
+    closed = build_group(n, q, scan_bound=10)
     assert [A.codes for A in scanned.elements] == [A.codes for A in closed.elements]
+    assert [A.codes for A in scanned.generators] == [A.codes for A in closed.generators]
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (2, 5), (2, 7)])
+def test_generators_generate_and_are_few(n, q):
+    G = group_table(n, q)
+    assert closure(G.generators, G.desc, n) == {A.codes for A in G.elements}
+    assert 1 <= len(G.generators) <= ceil(log2(len(G)))
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_generator_orbits_match_all_element_conjugation(n, q):
+    G = group_table(n, q)
+    got = [(c.rep.codes, c.size, c.member_codes) for c in G.classes]
+    assert got == reference_classes(G)
+
+
+def test_classes_under_a_proper_subgroup_raise():
+    G = group_table(2, 2)
+    sub = G.generators[:1]
+    assert len(closure(sub, G.desc, 2)) < len(G)
+    with pytest.raises(OracleInvariantError):
+        GroupTable(G.n, G.q, G.desc, G.elements, sub).classes
+
+
+def test_proper_subgroup_check_survives_python_O():
+    code = (
+        "import sys\n"
+        "from unitary_powers import GroupTable, OracleInvariantError, group_table\n"
+        "G = group_table(2, 2)\n"
+        "try:\n"
+        "    GroupTable(G.n, G.q, G.desc, G.elements, G.generators[:1]).classes\n"
+        "except OracleInvariantError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 4)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_scan_bound_env_var_forces_closure(monkeypatch):
@@ -137,6 +219,11 @@ def test_class_decomposition_is_consistent():
         assert all(len(G) % c.size == 0 for c in classes)
         assert len({c.datum for c in classes}) == len(classes)
     assert len(group_table(2, 2).classes) == 9
+
+
+def test_class_kinds_agree_with_classify_matrix():
+    for c in group_table(2, 3).classes:
+        assert classify_matrix(c.rep) == c.kind
 
 
 def test_power_image_counts_u12():
