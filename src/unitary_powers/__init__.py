@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 from ._numth import EnumerationBoundError
 from .gf import FieldDesc, FieldElem, PrimePower, conj, embed, is_norm_one, make_field, power_map
 from .polyalg import (
+    FactorisationError,
     Poly,
     PolyClass,
     butler_pattern,

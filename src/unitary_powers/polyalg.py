@@ -20,13 +20,25 @@ GL(d, q^2)).  `butler_pattern` predicts the full factor-degree multiset of
 f(x^m) from the multiplicative order of the roots of f.
 
 Factorisation is squarefree decomposition, then distinct-degree splitting,
-then equal-degree splitting; the equal-degree stage scans splitter candidates
-in a fixed lexicographic order, so the whole pipeline is deterministic.
+then Cantor-Zassenhaus equal-degree splitting with random splitters (Cantor &
+Zassenhaus 1981; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+Each random splitter separates two of the factors with probability >= 1/2,
+so a split needs about two tries; the tries are capped at `_EDF_MAX_TRIES`,
+and reaching the cap raises `FactorisationError`, since it means the input
+was not a product of >= 2 distinct irreducibles of one degree.  The splitters
+come from a `random.Random` seeded in code from (deg h, e), so every run
+makes the same tries; and because factorisation is unique and `factor` sorts
+its output, the result would not depend on the splitters in any case.
+
+Invariants that guard results (multiply-back, p-th roots, integral factor
+counts, splitter exhaustion) raise `FactorisationError`, which survives
+`python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -35,6 +47,7 @@ from ._numth import divisors, euler_phi, factorint, mult_order, prime_factors
 from .gf import FieldDesc, FieldElem
 
 __all__ = [
+    "FactorisationError",
     "Poly",
     "PolyClass",
     "tilde",
@@ -49,6 +62,11 @@ __all__ = [
     "monic_polys",
     "irreducible_polys",
 ]
+
+
+class FactorisationError(RuntimeError):
+    """An invariant of factorisation failed; the results it guards cannot be
+    trusted."""
 
 
 class PolyClass(Enum):
@@ -133,11 +151,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
-        return Poly(self.desc, out)
+        return _poly(self.desc, out)
 
     def __neg__(self) -> "Poly":
         neg = self.desc.neg_c
-        return Poly(self.desc, [neg(c) for c in self.codes])
+        return _poly(self.desc, [neg(c) for c in self.codes])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -145,7 +163,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.codes, other.codes
         if not a or not b:
-            return Poly(self.desc)
+            return _poly(self.desc, [])
         add, mul = self.desc.add_c, self.desc.mul_c
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -153,11 +171,11 @@ class Poly:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(self.desc, out)
+        return _poly(self.desc, out)
 
     def scale(self, code: int) -> "Poly":
         mul = self.desc.mul_c
-        return Poly(self.desc, [mul(c, code) for c in self.codes])
+        return _poly(self.desc, [mul(c, code) for c in self.codes])
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -167,15 +185,17 @@ class Poly:
         db = other.degree
         inv_lb = desc.inv_c(other.codes[-1])
         quot = [0] * max(len(rem) - db, 0)
-        sub, mul = desc.sub_c, desc.mul_c
+        add, mul, neg = desc.add_c, desc.mul_c, desc.neg_c
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
                 f = mul(c, inv_lb)
                 quot[i - db] = f
+                minus_f = neg(f)  # rem -= f * t^(i-db) * other, as one add per term
                 for j, bj in enumerate(other.codes):
-                    rem[i - db + j] = sub(rem[i - db + j], mul(f, bj))
-        return Poly(desc, quot), Poly(desc, rem[:db])
+                    if bj:
+                        rem[i - db + j] = add(rem[i - db + j], mul(minus_f, bj))
+        return _poly(desc, quot), _poly(desc, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -236,6 +256,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(GF({self.desc.order}): {self})"
+
+
+def _poly(desc: FieldDesc, codes: list) -> Poly:
+    """Internal constructor for ring operations whose codes lie in [0, Q) by
+    construction: trims trailing zeros of `codes` (in place) and skips the
+    per-coefficient validation of `Poly.__init__`."""
+    while codes and codes[-1] == 0:
+        codes.pop()
+    f = object.__new__(Poly)
+    f.desc = desc
+    f.codes = tuple(codes)
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +356,10 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
 def classify(f: Poly) -> PolyClass:
+    """Class of monic f; memoised (bounded), since the power tests classify
+    again a polynomial their caller has just classified."""
     if f.degree < 1:
         raise ValueError("classification is about polynomials of degree >= 1")
     if not f.is_monic():
@@ -403,7 +438,8 @@ def butler_pattern(d: int, t: int, m: int, Q: int) -> tuple[tuple[int, int], ...
     for e in divisors(m1):
         deg = mult_order(Q, e * m2 * t)
         count, rem = divmod(d * m2 * euler_phi(e), deg)
-        assert rem == 0, "factor count must be integral"
+        if rem:
+            raise FactorisationError(f"factor count {d * m2 * euler_phi(e)}/{deg} is not integral")
         out.append((deg, count))
     return tuple(sorted(out))
 
@@ -416,8 +452,8 @@ def _pth_root(f: Poly) -> Poly:
     """g with g^p = f, for f whose exponents are all divisible by p."""
     desc = f.desc
     e = desc.order // desc.p
-    assert all(c == 0 for i, c in enumerate(f.codes) if i % desc.p != 0), \
-        "polynomial is not a p-th power"
+    if any(c for i, c in enumerate(f.codes) if i % desc.p):
+        raise FactorisationError("polynomial is not a p-th power")
     codes = f.codes[:: desc.p]
     return Poly(desc, [desc.pow_c(c, e) for c in codes])
 
@@ -473,41 +509,49 @@ def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-def _splitter_candidates(desc: FieldDesc, max_degree: int):
-    for deg in range(1, max_degree):
-        for tail in itertools.product(range(desc.order), repeat=deg):
-            for lead in range(1, desc.order):
-                yield Poly(desc, tail + (lead,))
+_EDF_SEED = 1981  # fixed: every run draws the same splitters
+_EDF_MAX_TRIES = 256  # each try splits with probability >= 1/2
 
 
 def _edf_split(h: Poly, e: int) -> Poly:
     """A proper monic factor of h, a product of >= 2 irreducibles of degree e.
 
-    Candidates are scanned in a fixed order, so the split is deterministic;
-    by CRT surjectivity some candidate always separates two of the factors.
+    Cantor-Zassenhaus: draw a random r of degree < deg h and take
+    gcd(h, T(r)), with T the trace r + r^2 + ... + r^(Q^e / 2) for p = 2;
+    for odd p try gcd(h, r), then gcd(h, r^((Q^e - 1)/2) - 1).  By the CRT
+    each irreducible factor sees an independent uniform residue of r, so a
+    try separates two of the factors with probability >= 1/2.  The
+    generator is seeded from (deg h, e), so the tries are the same on every
+    run; `factor` sorts its output, so the result does not depend on them.
+    Failing `_EDF_MAX_TRIES` times in a row (chance <= 2^-256 on valid
+    input) means h was not such a product, and raises `FactorisationError`.
     """
     desc = h.desc
-    Q = desc.order
+    Q, n = desc.order, h.degree
+    rng = random.Random((_EDF_SEED << 32) | (n << 16) | e)
     one = Poly.one(desc)
-    if desc.p == 2:
-        bits = e * desc.degree  # Q^e = 2^(e * degree)
-        for r in _splitter_candidates(desc, h.degree):
-            cur = r % h
-            acc = cur
+    bits = e * desc.degree  # for p = 2: Q^e = 2^bits
+    exp = (Q**e - 1) // 2
+    for _ in range(_EDF_MAX_TRIES):
+        r = _poly(desc, [rng.randrange(Q) for _ in range(n)])
+        if desc.p == 2:
+            cur = acc = r
             for _ in range(bits - 1):
                 cur = (cur * cur) % h
                 acc = acc + cur
-            g = gcd_poly(h, acc)
-            if 0 < g.degree < h.degree:
-                return g
-    else:
-        exp = (Q**e - 1) // 2
-        for r in _splitter_candidates(desc, h.degree):
-            s = pow_mod(r, exp, h) - one
+            tests = (acc,)
+        else:
+            # an r sharing a factor with h splits it too; counting that
+            # case is what lifts the success chance to >= 1/2
+            tests = (r, pow_mod(r, exp, h) - one)
+        for s in tests:
             g = gcd_poly(h, s)
-            if 0 < g.degree < h.degree:
+            if 0 < g.degree < n:
                 return g
-    raise AssertionError("equal-degree splitter search exhausted")
+    raise FactorisationError(
+        f"no split of a degree-{n} polynomial into degree-{e} factors in "
+        f"{_EDF_MAX_TRIES} random tries: not a product of >= 2 such irreducibles"
+    )
 
 
 def _equal_degree(h: Poly, e: int) -> list[Poly]:
@@ -542,5 +586,6 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     for g, e in out:
         for _ in range(e):
             check = check * g
-    assert check == f, "factorisation does not multiply back"
+    if check != f:
+        raise FactorisationError("factorisation does not multiply back")
     return out

@@ -1,12 +1,22 @@
 """Polynomial algebra: tilde conjugation, factorisation, power classifications."""
 
 import itertools
+import os
+import subprocess
+import sys
+import time
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import unitary_powers
+from unitary_powers import polyalg
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
+    FactorisationError,
     Poly,
     PolyClass,
     butler_pattern,
@@ -141,6 +151,99 @@ def test_factor_multiplies_back_and_is_sorted(desc, max_deg):
                     prod = prod * g
             assert prod == f
             assert list(fs) == sorted(fs, key=lambda pair: pair[0].sort_key())
+
+
+def _lex_edf_split(h, e):
+    """Reference equal-degree split: scan splitter candidates in lexicographic
+    order (degree, then constant-first codes, then leading code) and return
+    the first proper factor.  Slow but independent of any random choice."""
+    desc = h.desc
+    one = Poly.one(desc)
+    exp = (desc.order**e - 1) // 2
+    for deg in range(1, h.degree):
+        for tail in itertools.product(range(desc.order), repeat=deg):
+            for lead in range(1, desc.order):
+                r = Poly(desc, tail + (lead,))
+                if desc.p == 2:
+                    cur = acc = r % h
+                    for _ in range(e * desc.degree - 1):
+                        cur = (cur * cur) % h
+                        acc = acc + cur
+                else:
+                    acc = polyalg.pow_mod(r, exp, h) - one
+                g = polyalg.gcd_poly(h, acc)
+                if 0 < g.degree < h.degree:
+                    return g
+    raise AssertionError("lexicographic splitter search exhausted")
+
+
+# (q, d) cells of the exhaustive cross-check whose f(x^M) are compared
+REFERENCE_CELLS = [(F4, 3), (F9, 2)]
+
+
+@pytest.mark.parametrize("desc,d", REFERENCE_CELLS, ids=["q2-d3", "q3-d2"])
+def test_factor_matches_the_lexicographic_splitter(desc, d, monkeypatch):
+    composed = [compose_power(f, M) for f in irreducible_polys(desc, d) for M in range(2, 7)]
+    got = [factor(h) for h in composed]
+    monkeypatch.setattr(polyalg, "_edf_split", _lex_edf_split)
+    want = [factor.__wrapped__(h) for h in composed]
+    assert got == want
+
+
+@st.composite
+def monic_poly(draw):
+    desc = draw(st.sampled_from([F4, F9]))
+    degree = draw(st.integers(1, 10))
+    tail = draw(st.lists(st.integers(0, desc.order - 1), min_size=degree, max_size=degree))
+    return Poly(desc, tail + [1])
+
+
+@settings(deadline=None)
+@given(monic_poly())
+def test_factor_property(f):
+    fs = factor(f)
+    prod = Poly.one(f.desc)
+    for g, m in fs:
+        assert g.is_monic() and is_irreducible(g)
+        assert m >= 1
+        for _ in range(m):
+            prod = prod * g
+    assert prod == f
+    keys = [g.sort_key() for g, _ in fs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("desc", [F4, F9], ids=["GF4", "GF9"])
+def test_edf_split_of_an_irreducible_raises(desc):
+    # an irreducible quartic is no product of quadratics: every try fails
+    h = next(f for f in monic_polys(desc, 4) if is_irreducible(f))
+    start = time.perf_counter()
+    with pytest.raises(FactorisationError):
+        polyalg._edf_split(h, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_edf_split_check_survives_python_O():
+    code = (
+        "import sys, time\n"
+        "from unitary_powers import FactorisationError, polyalg\n"
+        "from unitary_powers.gf import make_field\n"
+        "F4 = make_field(2, 1, 1)\n"
+        "h = next(f for f in polyalg.irreducible_polys(F4, 4) if f.codes[0] != 0)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    polyalg._edf_split(h, 2)\n"
+        "except FactorisationError:\n"
+        "    fast = time.perf_counter() - start < 1.0\n"
+        "    sys.exit(0 if sys.flags.optimize and fast else 4)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_factor_handles_pth_power_shapes():
