@@ -32,6 +32,7 @@ from .polyalg import (
     tilde,
 )
 from .counts import (
+    CountInvariantError,
     CountRecord,
     count_irreducible,
     count_mpower_pairs,

@@ -17,8 +17,9 @@ For q a prime power and the coefficient field F_q2:
                    compare against);
   * S~'_M(d,q) = N~ - N~_M and S'_M(d,q) = R~ - R~_M, the non-power leftovers.
 
-All counts are exact integers; internal divisibility is asserted so a misread
-formula fails loudly rather than rounding.
+All counts are exact integers; internal divisibility is checked, raising
+`CountInvariantError`, so a misread formula fails loudly rather than
+rounding.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ._numth import (
 )
 
 __all__ = [
+    "CountInvariantError",
     "mobius",
     "count_scim",
     "count_mtilde_scim",
@@ -52,6 +54,18 @@ __all__ = [
 DEFAULT_ENUM_BOUND = 1 << 20
 
 
+class CountInvariantError(RuntimeError):
+    """A sum that must divide exactly did not; the count it guards cannot be
+    trusted."""
+
+
+def _exact_quotient(total: int, d: int, what: str) -> int:
+    count, rem = divmod(total, d)
+    if rem:
+        raise CountInvariantError(f"{what}: {total} is not divisible by {d}")
+    return count
+
+
 def count_scim(q: int, d: int) -> int:
     """N~(q, d): SCIM polynomials of degree d over F_q2.
 
@@ -61,9 +75,7 @@ def count_scim(q: int, d: int) -> int:
     if d % 2 == 0:
         return 0
     total = sum(mobius(l) * (q ** (d // l) + 1) for l in divisors(d))
-    count, rem = divmod(total, d)
-    assert rem == 0, "SCIM count must be integral"
-    return count
+    return _exact_quotient(total, d, "SCIM count must be integral")
 
 
 def count_mtilde_scim(q: int, d: int, M: int) -> int:
@@ -84,9 +96,9 @@ def count_mtilde_scim(q: int, d: int, M: int) -> int:
     total = sum(
         mobius(l) * gcd(M * (q ** (2 * d // l) - 1), q**d + 1) for l in divisors(d)
     )
-    count, rem = divmod(total, d * gcd(M, q**d + 1))
-    assert rem == 0, "M~-power SCIM count must be integral"
-    return count
+    return _exact_quotient(
+        total, d * gcd(M, q**d + 1), "M~-power SCIM count must be integral"
+    )
 
 
 def count_irreducible(Q: int, d: int) -> int:
@@ -94,9 +106,7 @@ def count_irreducible(Q: int, d: int) -> int:
     if Q < 2 or d < 1:
         raise ValueError("need a field size Q >= 2 and degree d >= 1")
     total = sum(mobius(l) * Q ** (d // l) for l in divisors(d))
-    count, rem = divmod(total, d)
-    assert rem == 0
-    return count
+    return _exact_quotient(total, d, "irreducible count must be integral")
 
 
 def count_pairs(q: int, d: int) -> int:
@@ -143,9 +153,9 @@ def count_mpower_pairs(q: int, d: int, M: int, *, enum_bound: int = DEFAULT_ENUM
             continue
         if power_target % D == 0:
             total += euler_phi(D)
-    count, rem = divmod(total, 2 * d)
-    assert rem == 0, "pair-member element count must split into pairs of orbits"
-    return count
+    return _exact_quotient(
+        total, 2 * d, "pair-member element count must split into pairs of orbits"
+    )
 
 
 def s_tilde_prime(q: int, d: int, M: int) -> int:

@@ -2,13 +2,15 @@
 
 U(n, q) is realised concretely as the invertible n x n matrices A over F_q2
 with A L conj(A)^t = L, where L is the anti-diagonal Hermitian form.  Groups
-are built either by scanning the full candidate space or, past the scan
-bound, by multiplicative closure of a small generating set S.  S is chosen
-greedily from structured seed elements (diagonal, unipotent upper-triangular
-and monomial unitary matrices, which generate), trying seeds of larger
-element order first: a seed joins S only when it lies outside the subgroup S
-generates so far, so each one at least doubles that subgroup and
-|S| <= log2 |G|.  Scan-built groups get the same S.
+are built as the multiplicative closure of a small generating set S.  S is
+chosen greedily from structured seed elements (diagonal, unipotent
+upper-triangular and monomial unitary matrices, which generate), trying
+seeds of larger element order first: a seed joins S only when it lies
+outside the subgroup S generates so far, so each one at least doubles that
+subgroup and |S| <= log2 |G|.  Every seed passes `is_unitary` and products
+of unitary matrices are unitary, so the closure is a subgroup of U(n, q);
+its element count is checked against |U(n, q)|, which makes it the whole
+group.
 
 Every invertible matrix gets a conjugacy datum: the map from the irreducible
 factors of its characteristic polynomial to partitions, read off the kernel
@@ -29,7 +31,6 @@ the powered companion polynomial, whenever that companion exists.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -41,8 +42,6 @@ from .polyalg import Poly
 from .series import group_order_U
 
 __all__ = [
-    "DEFAULT_SCAN_BOUND",
-    "SCAN_BOUND_ENV",
     "OracleInvariantError",
     "MatrixRep",
     "HermitianForm",
@@ -66,19 +65,9 @@ __all__ = [
     "check_block_power",
 ]
 
-DEFAULT_SCAN_BOUND = 1 << 22
-SCAN_BOUND_ENV = "UPC_SCAN_BOUND"
-
-
 class OracleInvariantError(RuntimeError):
     """An invariant of the oracle's construction failed; the results it
     guards cannot be trusted."""
-
-
-def _scan_bound(explicit=None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get(SCAN_BOUND_ENV, DEFAULT_SCAN_BOUND))
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +203,13 @@ def is_unitary(A: MatrixRep) -> bool:
 
 
 def _unitary_inverse(A: MatrixRep) -> MatrixRep:
-    # from A L conj(A)^t = L and L^2 = I: A^(-1) = L conj(A)^t L
-    lam = hermitian_form(A.n, A.desc).entries
-    return lam * A.conj_transpose() * lam
+    # from A L conj(A)^t = L and L^2 = I: A^(-1) = L conj(A)^t L, whose
+    # (i, j) entry is conj(A[n-1-j][n-1-i]), flat index n^2 - 1 - (j n + i)
+    n, cj, a = A.n, A.desc.conj_c, A.codes
+    last = n * n - 1
+    return MatrixRep(
+        A.desc, n, tuple(cj(a[last - j * n - i]) for i in range(n) for j in range(n))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -514,33 +507,6 @@ class GroupTable:
         return tuple(out)
 
 
-def _scan_elements(desc: FieldDesc, n: int):
-    Q = desc.order
-    add, mul, cj = desc.add_c, desc.mul_c, desc.conj_c
-    conj_tab = [cj(c) for c in range(Q)]
-    out = []
-    target = [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
-    for codes in itertools.product(range(Q), repeat=n * n):
-        ok = True
-        for i in range(n):
-            base_i = i * n
-            for j in range(n):
-                base_j = j * n
-                s = 0
-                for k in range(n):
-                    aik = codes[base_i + n - 1 - k]
-                    if aik:
-                        s = add(s, mul(aik, conj_tab[codes[base_j + k]]))
-                if s != target[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(MatrixRep(desc, n, codes))
-    return out
-
-
 def _seed_elements(desc: FieldDesc, n: int):
     """Structured unitary matrices that generate U(n, q): the diagonal torus,
     the unipotent upper-triangular radical, and the unitary monomials.
@@ -616,37 +582,31 @@ def _greedy_generators(desc: FieldDesc, n: int, expected: int):
     return gens, group
 
 
-def build_group(n: int, q: int, scan_bound: int | None = None) -> GroupTable:
-    """Construct U(n, q) explicitly.
+def build_group(n: int, q: int) -> GroupTable:
+    """Construct U(n, q) explicitly as the closure of a generating set
+    chosen greedily from structured seed elements.
 
-    Scans all q^(2 n^2) candidate matrices when that fits under the scan
-    bound (the UPC_SCAN_BOUND environment variable overrides the default);
-    otherwise closes a generating set, chosen greedily from structured seed
-    elements, under multiplication.  Scan-built groups get the same
-    generating set.  Either way the element count must equal the predicted
-    group order.
+    Every seed passes `is_unitary` and a product of unitary matrices is
+    unitary, so the closure is a subgroup of U(n, q); its element count must
+    equal the predicted group order, which makes it the whole group.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     p, l = prime_power(q)
     desc = make_field(p, l, 1)
     expected = group_order_U(n, q)
-    bound = _scan_bound(scan_bound)
     generators, closure = _greedy_generators(desc, n, expected)
-    if desc.order ** (n * n) <= bound:
-        elements = _scan_elements(desc, n)
-    else:
-        elements = list(closure.values())
-    if len(elements) != expected:
+    if len(closure) != expected:
         raise OracleInvariantError(
-            f"constructed {len(elements)} elements of U({n},{q}), expected {expected}"
+            f"constructed {len(closure)} elements of U({n},{q}), expected {expected}"
         )
-    return GroupTable(n, q, desc, elements, generators)
+    return GroupTable(n, q, desc, closure.values(), generators)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def group_table(n: int, q: int) -> GroupTable:
-    """Cached `build_group` with default bounds (groups are reused heavily)."""
+    """Cached `build_group` (groups are reused heavily); the 16 most
+    recently used groups are kept."""
     return build_group(n, q)
 
 

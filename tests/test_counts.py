@@ -1,11 +1,17 @@
 """Counting formulas versus exhaustive polynomial enumeration."""
 
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from unitary_powers import EnumerationBoundError
+import unitary_powers
+from unitary_powers import EnumerationBoundError, counts
 from unitary_powers.counts import (
+    CountInvariantError,
     CountRecord,
     count_irreducible,
     count_mpower_pairs,
@@ -193,6 +199,36 @@ def test_count_record_rejects_inconsistency():
     with pytest.raises(ValueError):
         CountRecord(2, 1, 3, n_tilde=3, n_tilde_M=1, r_tilde=0, r_tilde_M=0,
                     s_tilde_prime=1, s_prime=0)
+
+
+def only_the_first_mobius_term(l):
+    # keeps the l = 1 term: N~(2, 5) then sums to 2^5 + 1 = 33, not a multiple of 5
+    return 1 if l == 1 else 0
+
+
+def test_non_integral_count_raises(monkeypatch):
+    monkeypatch.setattr(counts, "mobius", only_the_first_mobius_term)
+    with pytest.raises(CountInvariantError):
+        count_scim(2, 5)
+
+
+def test_non_integral_count_check_survives_python_O():
+    code = (
+        "import sys\n"
+        "from unitary_powers import CountInvariantError, counts\n"
+        "counts.mobius = lambda l: 1 if l == 1 else 0\n"
+        "try:\n"
+        "    counts.count_scim(2, 5)\n"
+        "except CountInvariantError:\n"
+        "    sys.exit(0 if sys.flags.optimize else 4)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_validation_of_arguments():

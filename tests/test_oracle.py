@@ -1,5 +1,6 @@
 """Brute-force oracle: group construction, class data, power images, blocks."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from unitary_powers.oracle import (
     GroupTable,
     MatrixRep,
     OracleInvariantError,
+    _unitary_inverse,
     block_matrix,
     build_group,
     char_poly,
@@ -111,12 +113,53 @@ def reference_classes(G):
     return out
 
 
+def scan_elements(desc, n):
+    """Codes of every n x n matrix over desc with A L conj(A)^t = L, found by
+    testing all Q^(n^2) candidates in lexicographic order."""
+    Q = desc.order
+    add, mul = desc.add_c, desc.mul_c
+    conj_tab = [desc.conj_c(c) for c in range(Q)]
+    target = [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    out = []
+    for codes in itertools.product(range(Q), repeat=n * n):
+        ok = True
+        for i in range(n):
+            base_i = i * n
+            for j in range(n):
+                base_j = j * n
+                s = 0
+                for k in range(n):
+                    aik = codes[base_i + n - 1 - k]
+                    if aik:
+                        s = add(s, mul(aik, conj_tab[codes[base_j + k]]))
+                if s != target[i][j]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(codes)
+    return out
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (2, 4), (2, 5)])
 def test_closure_fallback_matches_the_scan(n, q):
-    scanned = build_group(n, q)
-    closed = build_group(n, q, scan_bound=10)
-    assert [A.codes for A in scanned.elements] == [A.codes for A in closed.elements]
-    assert [A.codes for A in scanned.generators] == [A.codes for A in closed.generators]
+    G = build_group(n, q)
+    assert [A.codes for A in G.elements] == scan_elements(G.desc, n)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_unitary_inverse_inverts_every_element(n, q):
+    G = group_table(n, q)
+    ident = MatrixRep.identity(G.desc, n)
+    for A in G.elements:
+        assert A * _unitary_inverse(A) == ident
+
+
+def test_group_table_cache_is_bounded():
+    # 16 covers every group one test run asks for, U(3,3) included
+    maxsize = group_table.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 16
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (2, 5), (2, 7)])
@@ -158,11 +201,6 @@ def test_proper_subgroup_check_survives_python_O():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
-
-
-def test_scan_bound_env_var_forces_closure(monkeypatch):
-    monkeypatch.setenv("UPC_SCAN_BOUND", "10")
-    assert len(build_group(2, 2)) == 18
 
 
 def test_classify_matrix_examples():
