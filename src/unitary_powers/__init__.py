@@ -17,7 +17,17 @@ series-versus-oracle verification as CSV/JSON reports.
 __version__ = "0.1.0"
 
 from ._numth import EnumerationBoundError
-from .gf import FieldDesc, FieldElem, PrimePower, conj, embed, is_norm_one, make_field, power_map
+from .gf import (
+    FieldDesc,
+    FieldElem,
+    FieldInvariantError,
+    PrimePower,
+    conj,
+    embed,
+    is_norm_one,
+    make_field,
+    power_map,
+)
 from .polyalg import (
     FactorisationError,
     Poly,

@@ -9,7 +9,9 @@ Four subcommands, all emitting CSV or JSON with deterministic row order:
   table    dump the conjugacy-class table of the oracle groups
 
 Exit codes: 0 success / all checks pass, 1 usage error (including violated
-series hypotheses), 2 verification failure, 3 resource bound exceeded.
+series hypotheses), 2 verification failure, 3 resource bound exceeded,
+4 internal invariant failure (a field, factorisation, count or oracle check
+failed; no result is printed, since none can be trusted).
 """
 
 from __future__ import annotations
@@ -23,12 +25,20 @@ from math import gcd
 
 from . import __version__, counts, genfun, oracle
 from ._numth import EnumerationBoundError, is_prime
+from .counts import CountInvariantError
 from .genfun import Family, Kind
+from .gf import FieldInvariantError
+from .oracle import OracleInvariantError
+from .polyalg import FactorisationError
 from .series import group_order_U
 
 __all__ = ["RunConfig", "run_counts", "run_series", "run_verify", "run_table", "main"]
 
 VERIFY_ORDER_BOUND = 100_000
+
+_INVARIANT_ERRORS = (
+    FieldInvariantError, FactorisationError, CountInvariantError, OracleInvariantError,
+)
 
 _COUNT_COLUMNS = (
     "q", "d", "M",
@@ -295,7 +305,10 @@ def main(argv=None) -> int:
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except _INVARIANT_ERRORS as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

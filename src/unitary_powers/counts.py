@@ -17,7 +17,8 @@ For q a prime power and the coefficient field F_q2:
                    compare against);
   * S~'_M(d,q) = N~ - N~_M and S'_M(d,q) = R~ - R~_M, the non-power leftovers.
 
-All counts are exact integers; internal divisibility is checked, raising
+All counts are exact integers; internal divisibility, the even number of
+non-SCIM irreducibles and the non-negative leftovers are checked, raising
 `CountInvariantError`, so a misread formula fails loudly rather than
 rounding.
 """
@@ -55,8 +56,8 @@ DEFAULT_ENUM_BOUND = 1 << 20
 
 
 class CountInvariantError(RuntimeError):
-    """A sum that must divide exactly did not; the count it guards cannot be
-    trusted."""
+    """A sum that must divide exactly did not, or a count exceeded the total
+    it is part of; the count it guards cannot be trusted."""
 
 
 def _exact_quotient(total: int, d: int, what: str) -> int:
@@ -116,7 +117,7 @@ def count_pairs(q: int, d: int) -> int:
     loose = count_irreducible(q * q, d) - (1 if d == 1 else 0) - count_scim(q, d)
     count, rem = divmod(loose, 2)
     if rem:
-        raise ArithmeticError(f"non-SCIM irreducible count {loose} is odd")
+        raise CountInvariantError(f"non-SCIM irreducible count {loose} is odd")
     return count
 
 
@@ -158,20 +159,20 @@ def count_mpower_pairs(q: int, d: int, M: int, *, enum_bound: int = DEFAULT_ENUM
     )
 
 
+def _leftover(total: int, powers: int) -> int:
+    if powers > total:
+        raise CountInvariantError(f"power count {powers} exceeds the total {total}")
+    return total - powers
+
+
 def s_tilde_prime(q: int, d: int, M: int) -> int:
     """S~'_M(d, q) = N~(q, d) - N~_M(q, d): SCIM but not M~-power."""
-    value = count_scim(q, d) - count_mtilde_scim(q, d, M)
-    if value < 0:
-        raise ArithmeticError("M~-power count exceeds the SCIM count")
-    return value
+    return _leftover(count_scim(q, d), count_mtilde_scim(q, d, M))
 
 
 def s_prime(q: int, d: int, M: int) -> int:
     """S'_M(d, q) = R~(q, d) - R~_M(q, d): pairs that are not M-power."""
-    value = count_pairs(q, d) - count_mpower_pairs(q, d, M)
-    if value < 0:
-        raise ArithmeticError("M-power pair count exceeds the pair count")
-    return value
+    return _leftover(count_pairs(q, d), count_mpower_pairs(q, d, M))
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def count_record(q: int, d: int, M: int, *, enum_bound: int = DEFAULT_ENUM_BOUND
     n_M = count_mtilde_scim(q, d, M)
     r = count_pairs(q, d)
     r_M = count_mpower_pairs(q, d, M, enum_bound=enum_bound)
-    return CountRecord(q, d, M, n, n_M, r, r_M, n - n_M, r - r_M)
+    return CountRecord(q, d, M, n, n_M, r, r_M, _leftover(n, n_M), _leftover(r, r_M))
 
 
 def _validate(q: int, d: int, M: int = 1):

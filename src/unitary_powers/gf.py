@@ -15,6 +15,10 @@ The conjugation map is a -> a^q throughout the tower.  Its restriction to the
 subfield F_q2 is the involution with fixed field F_q.  The norm-one circle at
 level d is {a in F_{q^(2d)} : a^(q^d + 1) = 1}, a cyclic group of q^d + 1
 elements.
+
+A model that breaks a finite-field invariant while it is set up (no
+irreducible modulus, no primitive element, a power walk that does not close)
+raises `FieldInvariantError`, which survives `python -O`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from ._numth import EnumerationBoundError, is_prime, prime_factors
 
 __all__ = [
     "DEFAULT_FIELD_BOUND",
+    "FieldInvariantError",
     "PrimePower",
     "FieldDesc",
     "FieldElem",
@@ -39,6 +44,12 @@ __all__ = [
 
 DEFAULT_FIELD_BOUND = 1 << 20
 _TABLE_BOUND = 1 << 16  # build exp/log tables only up to this field size
+
+
+class FieldInvariantError(RuntimeError):
+    """The field model broke an invariant of finite fields (no irreducible
+    modulus, no primitive element, a power walk that does not close, or a
+    subfield modulus without a root); its arithmetic cannot be trusted."""
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +140,7 @@ def _least_irreducible(p, degree):
         f = tail + (1,)
         if _p_irreducible(f, p):
             return f
-    raise AssertionError("no irreducible polynomial of requested degree")
+    raise FieldInvariantError(f"no monic irreducible of degree {degree} over F_{p}")
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +267,11 @@ class FieldDesc:
             if all(self._pow_raw(cand, n // r) != 1 for r in prime_factors(n)):
                 gen = cand
                 break
-        assert gen is not None, "multiplicative group of a finite field is cyclic"
+        if gen is None:
+            raise FieldInvariantError(
+                f"no primitive element modulo {self.modulus}; the multiplicative "
+                "group of a finite field is cyclic"
+            )
         exp = [0] * n
         log = [-1] * self.order
         v = 1
@@ -264,7 +279,11 @@ class FieldDesc:
             exp[i] = v
             log[v] = i
             v = self._mul_raw(v, gen)
-        assert v == 1
+        if v != 1:
+            raise FieldInvariantError(
+                f"the powers of the primitive element {gen} modulo {self.modulus} "
+                f"do not return to 1 after {n} steps"
+            )
         self._exp, self._log = exp, log
         if self.p > 2:
             self._neg = [self._negate_digits(c) for c in range(self.order)]
@@ -525,7 +544,7 @@ def _embedding_root(src: FieldDesc, dst: FieldDesc) -> int:
             acc = dst.add_c(dst.mul_c(acc, code), c)
         if acc == 0:
             return code
-    raise AssertionError("subfield modulus has a root in every extension")
+    raise FieldInvariantError(f"the modulus of {src!r} has no root in {dst!r}")
 
 
 def embed(a: FieldElem, target: FieldDesc) -> FieldElem:

@@ -15,12 +15,25 @@ group.
 Every invertible matrix gets a conjugacy datum: the map from the irreducible
 factors of its characteristic polynomial to partitions, read off the kernel
 dimensions of powers of phi(A), with tilde-conjugate pairs stored once under
-the smaller member.  U-conjugacy classes are the orbits of X -> s X s^(-1)
-for s in S, each closed from its smallest member, which costs 2 |G| |S|
-matrix products in all.  Every orbit is checked against the fiber of its
-datum: unitary conjugacy agrees with GL-conjugacy, so the two partitions of
-the group must coincide, and orbits that come out smaller than their fibers
-(as they would if S failed to generate G) raise `OracleInvariantError`.
+the smaller member.  By Wall (1963) the datum determines the U-conjugacy
+class, and Wall gives both the centraliser order of every datum and the
+number of classes of U(n, q).
+
+U-conjugacy classes are the orbits of X -> s X s^(-1) for s in S, each
+closed from its smallest member, which costs 2 |G| |S| matrix products in
+all.  The datum is computed once per orbit, on that member, and three checks
+make the orbits trustworthy, each raising `OracleInvariantError`:
+
+  * the representatives' data are pairwise distinct;
+  * every orbit has |G| / |C_U(datum)| elements, Wall's class size;
+  * the number of orbits is Wall's class number.
+
+Each orbit lies inside one U-class, and the datum is a class invariant.  If
+S generated a proper subgroup, some U-class would split into two or more
+orbits: their representatives would share a datum, and each would be
+smaller than Wall's class size.  (Comparing every orbit with the full fibre
+of its datum, `datum_of` on every element, is kept as a test-side
+reference.)
 
 `power_image_counts` pushes the whole group through g -> g^M and tabulates
 elements and classes of the image per matrix family.  `check_block_power`
@@ -31,6 +44,7 @@ the powered companion polynomial, whenever that companion exists.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -472,14 +486,19 @@ class GroupTable:
         return self._classes
 
     def _compute_classes(self) -> tuple[ConjClass, ...]:
-        fibers: dict[ConjugacyDatum, set] = {}
-        data: dict[tuple, ConjugacyDatum] = {}
-        for A in self.elements:
-            dm = datum_of(A)
-            data[A.codes] = dm
-            fibers.setdefault(dm, set()).add(A.codes)
+        """Orbits of conjugation by the generating set, each closed from its
+        smallest member, its representative and the only element whose
+        datum is computed.
+
+        Raises `OracleInvariantError` when two representatives share a
+        datum, when an orbit's size is not |G| / |C_U(datum)| by Wall's
+        centraliser order, or when the number of orbits is not Wall's class
+        number.  An orbit lies inside one U-class, so a generating set that
+        left a class split into several orbits fails the first two checks.
+        """
         pairs = [(s, _unitary_inverse(s)) for s in self.generators]
         seen: set = set()
+        data: set = set()
         out = []
         for A in self.elements:
             if A.codes in seen:
@@ -495,16 +514,67 @@ class GroupTable:
                             orbit.add(Y.codes)
                             fresh.append(Y)
                 frontier = fresh
-            dm = data[A.codes]
-            if orbit != fibers[dm]:
+            dm = datum_of(A)
+            if dm in data:
+                raise OracleInvariantError(f"two conjugation orbits share the datum {dm}")
+            data.add(dm)
+            centraliser = _wall_centraliser_order(dm, self.q)
+            if len(orbit) * centraliser != self.order:
                 raise OracleInvariantError(
-                    "mismatch between unitary conjugation orbits and class data"
+                    f"the orbit of datum {dm} has {len(orbit)} elements, but Wall's "
+                    f"class size is {self.order}/{centraliser}"
                 )
             seen |= orbit
             out.append(ConjClass(A, len(orbit), frozenset(orbit), dm, kind_of_datum(dm)))
         if sum(c.size for c in out) != self.order:
             raise OracleInvariantError("class sizes do not sum to the group order")
+        expected = _wall_class_number(self.n, self.q)
+        if len(out) != expected:
+            raise OracleInvariantError(
+                f"{len(out)} conjugation orbits in U({self.n},{self.q}), but Wall's "
+                f"class number is {expected}"
+            )
         return tuple(out)
+
+
+def _wall_centraliser_order(datum: ConjugacyDatum, q: int) -> int:
+    """|C_U(A)| for a unitary matrix A with this datum (Wall 1963).
+
+    A SCIM phi of degree d with partition lambda contributes
+    q^(d sum_i lambda'_i^2) prod_i prod_{k=1..m_i(lambda)} (1 - (-q^d)^(-k)),
+    where m_i(lambda) is the number of parts equal to i; a pair {phi, phi~}
+    contributes the GL analogue over F_{q^(2d)}, with -q^d replaced by
+    q^(2d).  With x = q^d, s = -1 for a SCIM and x = q^(2d), s = 1 for a
+    pair, each factor 1 - (s x)^(-k) is (x^k - s^k) / x^k, so the
+    contribution is the integer
+    x^(sum_i lambda'_i^2 - sum_i m_i (m_i + 1) / 2) prod_i prod_k (x^k - s^k).
+    """
+    total = 1
+    for phi, lam in datum.items():
+        if polyalg.tilde(phi) == phi:
+            x, s = q**phi.degree, -1
+        else:
+            x, s = q ** (2 * phi.degree), 1
+        mults = Counter(lam).values()
+        exponent = sum(c * c for c in _conjugate_partition(list(lam)))
+        exponent -= sum(m * (m + 1) // 2 for m in mults)
+        total *= x**exponent
+        for m in mults:
+            for k in range(1, m + 1):
+                total *= x**k - s**k
+    return total
+
+
+def _wall_class_number(n: int, q: int) -> int:
+    """Number of conjugacy classes of U(n, q): the z^n coefficient of
+    prod_{i >= 1} (1 + z^i) / (1 - q z^i) (Wall 1963)."""
+    c = [1] + [0] * n
+    for i in range(1, n + 1):
+        for k in range(n, i - 1, -1):  # times 1 + z^i
+            c[k] += c[k - i]
+        for k in range(i, n + 1):  # divided by 1 - q z^i
+            c[k] += q * c[k - i]
+    return c[n]
 
 
 def _seed_elements(desc: FieldDesc, n: int):

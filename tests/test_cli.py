@@ -4,6 +4,7 @@ import csv
 import json
 from fractions import Fraction
 
+from unitary_powers import counts, gf, oracle, polyalg
 from unitary_powers.cli import main
 
 
@@ -144,3 +145,45 @@ def test_table_command(tmp_path):
     assert sum(sizes) == 18
     _, again = run(tmp_path, ["table", "--q", "2", "--n-max", "2", "--M", "2"], "c.txt")
     assert text == again
+
+
+# Internal invariant failures exit 4, one injected failure per layer.  The
+# oracle tests build their group afresh instead of taking the cached one.
+
+def test_count_invariant_failure_exits_four(monkeypatch, tmp_path):
+    real = counts.count_pairs
+    monkeypatch.setattr(counts, "count_mpower_pairs",
+                        lambda q, d, M, **kw: real(q, d) + 1)
+    rc = main(["counts", "--q", "3", "--M", "2", "--d-max", "1",
+               "--out", str(tmp_path / "x.txt")])
+    assert rc == 4
+
+
+def test_oracle_invariant_failure_exits_four(monkeypatch, tmp_path):
+    real = oracle._wall_class_number
+    monkeypatch.setattr(oracle, "group_table", oracle.build_group)
+    monkeypatch.setattr(oracle, "_wall_class_number", lambda n, q: real(n, q) + 1)
+    rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
+    assert rc == 4
+
+
+def test_factorisation_failure_exits_four(monkeypatch, tmp_path):
+    # an equal-degree step that loses every factor fails the multiply-back check
+    monkeypatch.setattr(oracle, "group_table", oracle.build_group)
+    monkeypatch.setattr(polyalg, "factor", polyalg.factor.__wrapped__)
+    monkeypatch.setattr(polyalg, "_equal_degree", lambda h, e: [])
+    rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
+    assert rc == 4
+
+
+def test_field_invariant_failure_exits_four(monkeypatch, tmp_path):
+    # F_4 modulo (t + 1)^2, which is not a field, built outside the cache
+    def broken_field(p, l, k):
+        desc = gf.FieldDesc(gf.PrimePower(p, l), k)
+        desc.modulus = (1, 0, 1)
+        return desc
+
+    monkeypatch.setattr(oracle, "group_table", oracle.build_group)
+    monkeypatch.setattr(gf, "_field", broken_field)
+    rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
+    assert rc == 4

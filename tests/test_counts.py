@@ -231,6 +231,28 @@ def test_non_integral_count_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_odd_pair_leftover_raises(monkeypatch):
+    # one SCIM too many leaves an odd number of non-SCIM irreducibles
+    real = counts.count_scim
+    monkeypatch.setattr(counts, "count_scim", lambda q, d: real(q, d) + 1)
+    with pytest.raises(CountInvariantError):
+        count_pairs(2, 1)
+
+
+def test_power_count_above_the_scim_count_raises(monkeypatch):
+    real = counts.count_scim
+    monkeypatch.setattr(counts, "count_mtilde_scim", lambda q, d, M: real(q, d) + 1)
+    with pytest.raises(CountInvariantError):
+        s_tilde_prime(2, 1, 3)
+
+
+def test_power_count_above_the_pair_count_raises(monkeypatch):
+    real = counts.count_pairs
+    monkeypatch.setattr(counts, "count_mpower_pairs", lambda q, d, M: real(q, d) + 1)
+    with pytest.raises(CountInvariantError):
+        s_prime(3, 1, 2)
+
+
 def test_validation_of_arguments():
     with pytest.raises(ValueError):
         count_scim(6, 1)  # not a prime power

@@ -1,11 +1,25 @@
 """Field tower: construction, conjugation, norm-one circles, power maps."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from unitary_powers import EnumerationBoundError
-from unitary_powers.gf import conj, embed, is_norm_one, make_field, power_map
+import unitary_powers
+from unitary_powers import EnumerationBoundError, gf
+from unitary_powers.gf import (
+    FieldDesc,
+    FieldInvariantError,
+    PrimePower,
+    conj,
+    embed,
+    is_norm_one,
+    make_field,
+    power_map,
+)
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
@@ -137,3 +151,54 @@ def test_power_map_composes(desc):
         for M in (2, 3, 5):
             for N in (2, 3, 5):
                 assert power_map(power_map(a, M), N) == power_map(a, M * N)
+
+
+def fresh_f4():
+    # a new descriptor of F_4, outside the make_field cache, tables not built
+    return FieldDesc(PrimePower(2, 1), 1)
+
+
+def test_field_without_a_primitive_element_raises(monkeypatch):
+    desc = fresh_f4()
+    # with every prime factor of |F_4^*| = 3 replaced by 1, every candidate
+    # looks like a non-generator
+    monkeypatch.setattr(gf, "prime_factors", lambda n: [1])
+    with pytest.raises(FieldInvariantError, match="no primitive element"):
+        desc._ensure_tables()
+
+
+def test_power_walk_that_does_not_close_raises():
+    desc = fresh_f4()
+    # t^2 + 1 = (t + 1)^2 over F_2: the residue of t passes the generator
+    # test but has order 2 in the quotient ring, so t^3 = t, not 1
+    desc.modulus = (1, 0, 1)
+    with pytest.raises(FieldInvariantError, match="do not return to 1"):
+        desc._ensure_tables()
+
+
+def test_field_invariant_checks_survive_python_O():
+    code = (
+        "import sys\n"
+        "from unitary_powers import FieldInvariantError, gf\n"
+        "from unitary_powers.gf import FieldDesc, PrimePower\n"
+        "caught = 0\n"
+        "desc = FieldDesc(PrimePower(2, 1), 1)\n"
+        "desc.modulus = (1, 0, 1)\n"
+        "try:\n"
+        "    desc._ensure_tables()\n"
+        "except FieldInvariantError:\n"
+        "    caught += 1\n"
+        "desc = FieldDesc(PrimePower(2, 1), 1)\n"
+        "gf.prime_factors = lambda n: [1]\n"
+        "try:\n"
+        "    desc._ensure_tables()\n"
+        "except FieldInvariantError:\n"
+        "    caught += 1\n"
+        "sys.exit(0 if caught == 2 and sys.flags.optimize else 1)\n"
+    )
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

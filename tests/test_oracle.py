@@ -10,12 +10,17 @@ from pathlib import Path
 import pytest
 
 import unitary_powers
+from test_acceptance import ORACLE_PAIRS
+from unitary_powers import oracle
+from unitary_powers.genfun import centralizer_order
 from unitary_powers.gf import make_field
 from unitary_powers.oracle import (
     GroupTable,
     MatrixRep,
     OracleInvariantError,
     _unitary_inverse,
+    _wall_centraliser_order,
+    _wall_class_number,
     block_matrix,
     build_group,
     char_poly,
@@ -174,6 +179,66 @@ def test_generator_orbits_match_all_element_conjugation(n, q):
     G = group_table(n, q)
     got = [(c.rep.codes, c.size, c.member_codes) for c in G.classes]
     assert got == reference_classes(G)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(2, 7)])
+def test_classes_equal_their_datum_fibres(n, q):
+    # the per-element reference: every class is exactly the set of elements
+    # sharing its representative's datum
+    G = group_table(n, q)
+    fibres = {}
+    for A in G.elements:
+        fibres.setdefault(datum_of(A), set()).add(A.codes)
+    assert len(fibres) == len(G.classes)
+    for c in G.classes:
+        assert c.member_codes == fibres[c.datum]
+
+
+@pytest.mark.parametrize("q,numbers", [(2, [3, 9, 24, 60]), (3, [4, 16, 56])])
+def test_wall_class_number(q, numbers):
+    assert [_wall_class_number(n, q) for n in range(1, len(numbers) + 1)] == numbers
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 5)])
+def test_wall_centraliser_matches_genfun_on_family_classes(n, q):
+    G = group_table(n, q)
+    checked = 0
+    for c in G.classes:
+        if c.kind.cyclic or c.kind.semisimple:
+            assert _wall_centraliser_order(c.datum, q) == centralizer_order(c.datum, q)
+            checked += 1
+    assert checked > 0
+
+
+def fresh_classes(n, q):
+    """Classes of a new table over the cached group's elements and
+    generators, computed afresh rather than taken from the cache."""
+    G = group_table(n, q)
+    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators).classes
+
+
+def test_shared_datum_raises(monkeypatch):
+    # every representative gets the first one's datum, which is right for
+    # the first orbit and repeats at the second
+    real = oracle.datum_of
+    first = group_table(2, 2).elements[0]
+    monkeypatch.setattr(oracle, "datum_of", lambda A: real(first))
+    with pytest.raises(OracleInvariantError, match="share the datum"):
+        fresh_classes(2, 2)
+
+
+def test_wrong_centraliser_order_raises(monkeypatch):
+    real = oracle._wall_centraliser_order
+    monkeypatch.setattr(oracle, "_wall_centraliser_order", lambda dm, q: 2 * real(dm, q))
+    with pytest.raises(OracleInvariantError, match="class size"):
+        fresh_classes(2, 2)
+
+
+def test_wrong_class_number_raises(monkeypatch):
+    real = oracle._wall_class_number
+    monkeypatch.setattr(oracle, "_wall_class_number", lambda n, q: real(n, q) + 1)
+    with pytest.raises(OracleInvariantError, match="class number"):
+        fresh_classes(2, 2)
 
 
 def test_classes_under_a_proper_subgroup_raise():
