@@ -23,8 +23,6 @@ from .gf import (
     FieldInvariantError,
     PrimePower,
     conj,
-    embed,
-    is_norm_one,
     make_field,
     power_map,
 )

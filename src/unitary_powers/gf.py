@@ -1,19 +1,20 @@
-"""Exact arithmetic in the finite field tower F_p <= F_q <= F_q2 <= F_{q^(2k)}.
+"""Exact arithmetic in F_q2, the field that U(n, q) is defined over.
 
-A level-k field F_{q^(2k)} (q = p^l) is modelled as F_p[x]/(m) for a fixed
-monic irreducible m of degree 2kl.  To make every downstream count
-reproducible, m is the lexicographically least monic irreducible of that
-degree, comparing coefficient vectors from the constant term upward.
+F_q2 (q = p^l) is modelled as F_p[x]/(m) for a fixed monic irreducible m of
+degree 2l.  To make every downstream count reproducible, m is the
+lexicographically least monic irreducible of that degree, comparing
+coefficient vectors from the constant term upward.
 
-Elements are stored as integer codes in [0, q^(2k)): the base-p digits of a
-code are the coordinates over F_p, constant coordinate first.  For fields of
-desk scale, multiplication runs on discrete-log tables and addition uses XOR
-in characteristic 2 or Zech logarithms otherwise; larger fields fall back to
-direct polynomial arithmetic modulo m.
+Elements are stored as integer codes in [0, q^2): the base-p digits of a code
+are the coordinates over F_p, constant coordinate first.  Every field that
+`make_field` admits (at most `FIELD_BOUND` = 2^20 elements) builds its
+discrete-log tables when it is constructed, and all arithmetic runs on them:
+multiplication adds logarithms, addition is XOR in characteristic 2 and uses
+Zech logarithms otherwise.  Polynomial arithmetic modulo m only finds the
+modulus and bootstraps the tables.
 
-The conjugation map is a -> a^q throughout the tower.  Its restriction to the
-subfield F_q2 is the involution with fixed field F_q.  The norm-one circle at
-level d is {a in F_{q^(2d)} : a^(q^d + 1) = 1}, a cyclic group of q^d + 1
+The conjugation a -> a^q is the involution of F_q2 with fixed field F_q.  The
+norm-one circle {a : a^(q + 1) = 1} is U(1, q), a cyclic group of q + 1
 elements.
 
 A model that breaks a finite-field invariant while it is set up (no
@@ -30,26 +31,23 @@ from functools import lru_cache
 from ._numth import EnumerationBoundError, is_prime, prime_factors
 
 __all__ = [
-    "DEFAULT_FIELD_BOUND",
+    "FIELD_BOUND",
     "FieldInvariantError",
     "PrimePower",
     "FieldDesc",
     "FieldElem",
     "make_field",
     "conj",
-    "is_norm_one",
     "power_map",
-    "embed",
 ]
 
-DEFAULT_FIELD_BOUND = 1 << 20
-_TABLE_BOUND = 1 << 16  # build exp/log tables only up to this field size
+FIELD_BOUND = 1 << 20  # largest field `make_field` builds, tables included
 
 
 class FieldInvariantError(RuntimeError):
     """The field model broke an invariant of finite fields (no irreducible
-    modulus, no primitive element, a power walk that does not close, or a
-    subfield modulus without a root); its arithmetic cannot be trusted."""
+    modulus, no primitive element, or a power walk that does not close); its
+    arithmetic cannot be trusted."""
 
 
 # ----------------------------------------------------------------------
@@ -166,30 +164,22 @@ class PrimePower:
 
 
 class FieldDesc:
-    """Concrete model of F_{q^(2k)} as F_p[x]/(modulus), elements as int codes.
+    """Concrete model of F_q2 as F_p[x]/(modulus), elements as int codes.
 
     All arithmetic is exposed at code level (`add_c`, `mul_c`, ...) so hot
     loops can bind the methods locally; `FieldElem` wraps a code for the
     value-level API.
     """
 
-    def __init__(self, base: PrimePower, k: int):
-        if k < 1:
-            raise ValueError(f"tower level k = {k} must be positive")
+    def __init__(self, base: PrimePower):
         self.base = base
         self.p = base.p
         self.l = base.l
-        self.k = k
         self.q = base.q
-        self.degree = 2 * k * base.l
+        self.degree = 2 * base.l
         self.order = self.p**self.degree
         self.modulus = _least_irreducible(self.p, self.degree)
-        self._small = self.order <= _TABLE_BOUND
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._neg = None
-        self._conjtab = None
+        self._ensure_tables()
 
     # -- code <-> coordinate conversions ---------------------------------
 
@@ -232,7 +222,7 @@ class FieldDesc:
     def elements(self):
         return (FieldElem(self, c) for c in range(self.order))
 
-    # -- raw polynomial arithmetic (bootstrap / large fields) ------------
+    # -- polynomial arithmetic modulo the modulus (table bootstrap) -------
 
     def _mul_raw(self, a: int, b: int) -> int:
         prod = _pmul(_ptrim(self.coords_of(a)), _ptrim(self.coords_of(b)), self.p)
@@ -247,20 +237,17 @@ class FieldDesc:
             e >>= 1
         return r
 
-    def _add_raw(self, a: int, b: int) -> int:
-        p, out, w = self.p, 0, 1
-        while a or b:
-            out += ((a + b) % p) * w
-            a //= p
-            b //= p
-            w *= p
-        return out
-
     # -- discrete-log tables ----------------------------------------------
 
     def _ensure_tables(self):
-        if self._exp is not None:
-            return
+        """Build the discrete-log tables from the modulus; a second call
+        builds them again, with every check.
+
+        `_exp` runs over two periods, so a sum of two logarithms indexes it
+        without reduction; `_zech[t]` is log(1 + g^t), or -1 where
+        1 + g^t = 0, and a negative difference of logarithms indexes it
+        modulo q^2 - 1 through Python's negative indices.
+        """
         n = self.order - 1
         gen = None
         for cand in range(2, self.order):
@@ -284,26 +271,13 @@ class FieldDesc:
                 f"the powers of the primitive element {gen} modulo {self.modulus} "
                 f"do not return to 1 after {n} steps"
             )
-        self._exp, self._log = exp, log
+        self._log = log
         if self.p > 2:
-            self._neg = [self._negate_digits(c) for c in range(self.order)]
-            zech = [0] * n
-            for t in range(n):
-                e1 = self._incr_const(exp[t])
-                zech[t] = log[e1] if e1 else -1
-            self._zech = zech
-        q = self.q
-        self._conjtab = [0] * self.order
-        for c in range(1, self.order):
-            self._conjtab[c] = exp[(log[c] * q) % n]
-
-    def _negate_digits(self, code: int) -> int:
-        p, out, w = self.p, 0, 1
-        while code:
-            out += (-code % p) * w
-            code //= p
-            w *= p
-        return out
+            # log[0] = -1 marks 1 + g^t = 0; -1 = g^((q^2 - 1) / 2)
+            self._zech = [log[self._incr_const(v)] for v in exp]
+            self._neg = [0] + [exp[(i + n // 2) % n] for i in log[1:]]
+        self._conjtab = [0] + [exp[i * self.q % n] for i in log[1:]]
+        self._exp = exp + exp
 
     def _incr_const(self, code: int) -> int:
         c0 = code % self.p
@@ -314,29 +288,16 @@ class FieldDesc:
     def add_c(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if not self._small:
-            return self._add_raw(a, b)
-        if self._exp is None:
-            self._ensure_tables()
         if a == 0:
             return b
         if b == 0:
             return a
-        n = self.order - 1
         la = self._log[a]
-        t = self._zech[(self._log[b] - la) % n]
-        if t < 0:
-            return 0
-        return self._exp[(la + t) % n]
+        t = self._zech[self._log[b] - la]
+        return self._exp[la + t] if t >= 0 else 0
 
     def neg_c(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if not self._small:
-            return self._negate_digits(a)
-        if self._exp is None:
-            self._ensure_tables()
-        return self._neg[a]
+        return a if self.p == 2 else self._neg[a]
 
     def sub_c(self, a: int, b: int) -> int:
         return self.add_c(a, self.neg_c(b))
@@ -344,46 +305,25 @@ class FieldDesc:
     def mul_c(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if not self._small:
-            return self._mul_raw(a, b)
-        if self._exp is None:
-            self._ensure_tables()
-        n = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % n]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_c(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if not self._small:
-            return self._pow_raw(a, self.order - 2)
-        if self._exp is None:
-            self._ensure_tables()
-        n = self.order - 1
-        return self._exp[-self._log[a] % n]
+        return self._exp[self.order - 1 - self._log[a]]
 
     def pow_c(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 0 if e else 1
-        if not self._small:
-            if e < 0:
-                a, e = self.inv_c(a), -e
-            return self._pow_raw(a, e)
-        if self._exp is None:
-            self._ensure_tables()
-        n = self.order - 1
-        return self._exp[(self._log[a] * e) % n]
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def conj_c(self, a: int) -> int:
-        if not self._small:
-            return self._pow_raw(a, self.q)
-        if self._exp is None:
-            self._ensure_tables()
         return self._conjtab[a]
 
     def __repr__(self):
-        return f"FieldDesc(GF({self.order}) = GF({self.q}^{2 * self.k}))"
+        return f"FieldDesc(GF({self.order}) = GF({self.q}^2))"
 
 
 class FieldElem:
@@ -482,30 +422,36 @@ class FieldElem:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _field(p: int, l: int, k: int) -> FieldDesc:
-    return FieldDesc(PrimePower(p, l), k)
+def _field(p: int, l: int) -> FieldDesc:
+    """The cached descriptor of F_q2.  Unbounded on purpose: elements and
+    polynomials compare their descriptors by identity, so evicting one would
+    make a later `make_field` return a second, incompatible copy."""
+    return FieldDesc(PrimePower(p, l))
 
 
-def make_field(p: int, l: int, k: int, *, size_bound: int = DEFAULT_FIELD_BOUND) -> FieldDesc:
-    """The deterministic descriptor of F_{q^(2k)} for q = p^l.
+def make_field(p: int, l: int, k: int) -> FieldDesc:
+    """The deterministic descriptor of F_q2 for q = p^l.
 
+    `k`, the degree of the field over F_q2, must be 1: only F_q2 is modelled.
     Repeated calls with equal arguments return the identical (cached) object,
     so element descriptors can be compared by identity.  Fields above
-    `size_bound` elements are refused.
+    `FIELD_BOUND` elements are refused.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if l < 1 or k < 1:
-        raise ValueError("l and k must be positive")
-    if p ** (2 * l * k) > size_bound:
+    if l < 1:
+        raise ValueError(f"exponent l = {l} must be positive")
+    if k != 1:
+        raise ValueError(f"only F_q2 is modelled (k = 1), not k = {k}")
+    if p ** (2 * l) > FIELD_BOUND:
         raise EnumerationBoundError(
-            f"field with {p}^{2 * l * k} elements exceeds the bound {size_bound}"
+            f"field with {p}^{2 * l} elements exceeds the bound {FIELD_BOUND}"
         )
-    return _field(p, l, k)
+    return _field(p, l)
 
 
 def conj(a: FieldElem) -> FieldElem:
-    """The conjugation a -> a^q; an involution on the F_q2 subfield."""
+    """The conjugation a -> a^q, the involution of F_q2 fixing F_q."""
     return a.conj()
 
 
@@ -514,45 +460,3 @@ def power_map(a: FieldElem, M: int) -> FieldElem:
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
     return a**M
-
-
-def is_norm_one(a: FieldElem, d: int) -> bool:
-    """Whether a lies on the level-d norm-one circle: a^(q^d + 1) = 1.
-
-    `a` must lie in the F_{q^(2d)} subfield of its field; zero is never
-    norm-one.
-    """
-    desc = a.desc
-    if d < 1 or desc.k % d != 0:
-        raise ValueError(f"level d = {d} does not give a subfield of GF({desc.order})")
-    if desc.pow_c(a.code, desc.q ** (2 * d)) != a.code:
-        raise ValueError("element does not lie in the requested subfield")
-    if a.code == 0:
-        return False
-    return desc.pow_c(a.code, desc.q**d + 1) == 1
-
-
-@lru_cache(maxsize=None)
-def _embedding_root(src: FieldDesc, dst: FieldDesc) -> int:
-    """Least code in dst that is a root of src's modulus (fixes the embedding)."""
-    if src.base != dst.base or dst.k % src.k != 0:
-        raise ValueError(f"{src!r} is not a subfield of {dst!r}")
-    coeffs = src.modulus
-    for code in range(dst.order):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = dst.add_c(dst.mul_c(acc, code), c)
-        if acc == 0:
-            return code
-    raise FieldInvariantError(f"the modulus of {src!r} has no root in {dst!r}")
-
-
-def embed(a: FieldElem, target: FieldDesc) -> FieldElem:
-    """Embed a into a larger field of the same tower (same p and l)."""
-    if a.desc is target:
-        return a
-    root = _embedding_root(a.desc, target)
-    acc = 0
-    for c in reversed(a.coords):
-        acc = target.add_c(target.mul_c(acc, root), c)
-    return FieldElem(target, acc)

@@ -302,12 +302,13 @@ def monic_polys(desc: FieldDesc, degree: int):
         yield Poly(desc, tail + (1,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def irreducible_polys(desc: FieldDesc, degree: int) -> tuple[Poly, ...]:
     """All monic irreducibles of the given degree (includes t in degree 1).
 
     Sieved by trial division against the cached irreducibles of degree at
-    most degree/2; deterministic order.
+    most degree/2; deterministic order.  The 256 most recently used
+    (field, degree) lists are kept.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -567,11 +568,11 @@ def _equal_degree(h: Poly, e: int) -> list[Poly]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     """Complete factorisation of monic f (degree >= 1) into monic
     irreducibles, as ((factor, multiplicity), ...) sorted by
-    (degree, coefficient codes)."""
+    (degree, coefficient codes); the 4096 most recently used are kept."""
     if f.degree < 1:
         raise ValueError("factorisation is about polynomials of degree >= 1")
     if not f.is_monic():

@@ -101,6 +101,14 @@ def test_verify_passes_on_small_groups(tmp_path):
     assert {row["family"] for row in rows} == {"sep"}
 
 
+def test_verify_passes_on_a_large_field(tmp_path):
+    # F_{257^2} has 66049 elements; U(1, 257) is its norm-one circle
+    rc, text = run(tmp_path, ["verify", "--q", "257", "--M", "2", "--n-max", "1"])
+    assert rc == 0
+    rows = parse_csv(text)
+    assert rows and all(row["status"] == "PASS" for row in rows)
+
+
 def test_verify_semisimple_n1(tmp_path):
     rc, text = run(tmp_path, ["verify", "--q", "2", "--M", "3", "--n-max", "1",
                               "--family", "ss"])
@@ -178,12 +186,8 @@ def test_factorisation_failure_exits_four(monkeypatch, tmp_path):
 
 def test_field_invariant_failure_exits_four(monkeypatch, tmp_path):
     # F_4 modulo (t + 1)^2, which is not a field, built outside the cache
-    def broken_field(p, l, k):
-        desc = gf.FieldDesc(gf.PrimePower(p, l), k)
-        desc.modulus = (1, 0, 1)
-        return desc
-
     monkeypatch.setattr(oracle, "group_table", oracle.build_group)
-    monkeypatch.setattr(gf, "_field", broken_field)
+    monkeypatch.setattr(gf, "_field", gf._field.__wrapped__)
+    monkeypatch.setattr(gf, "_least_irreducible", lambda p, degree: (1, 0, 1))
     rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
     assert rc == 4

@@ -1,7 +1,7 @@
-"""Field tower: construction, conjugation, norm-one circles, power maps."""
+"""F_q2: construction, table arithmetic, conjugation, norm-one circles, power maps."""
 
-import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,20 +15,25 @@ from unitary_powers.gf import (
     FieldInvariantError,
     PrimePower,
     conj,
-    embed,
-    is_norm_one,
     make_field,
     power_map,
 )
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
-F16_Q4 = make_field(2, 2, 1)   # q = 4, k = 1
-F16_D2 = make_field(2, 1, 2)   # q = 2, k = 2
+F16 = make_field(2, 2, 1)
 F25 = make_field(5, 1, 1)
-F64 = make_field(2, 1, 3)
+F64 = make_field(2, 3, 1)
 
-SMALL_FIELDS = [F4, F9, F16_Q4, F16_D2, F25, F64]
+SMALL_FIELDS = [F4, F9, F16, F25, F64]
+
+
+def is_norm_one(a):
+    # a^(q+1) = 1, by repeated multiplication
+    b = a.desc.one
+    for _ in range(a.desc.q + 1):
+        b = b * a
+    return b == 1
 
 
 def mul_order(a):
@@ -61,17 +66,9 @@ def test_make_field_rejects_bad_args():
     with pytest.raises(ValueError):
         make_field(2, 0, 1)
     with pytest.raises(EnumerationBoundError):
-        make_field(2, 1, 12)  # 2^24 elements
-
-
-def test_subfield_embedding_f4_into_f64():
-    images = [embed(a, F64) for a in F4.elements()]
-    assert len({b.code for b in images}) == 4
-    for b in images:
-        assert b**4 == b  # lands in the 4-element subfield
-    for a, b in itertools.product(F4.elements(), repeat=2):
-        assert embed(a + b, F64) == embed(a, F64) + embed(b, F64)
-        assert embed(a * b, F64) == embed(a, F64) * embed(b, F64)
+        make_field(2, 11, 1)  # 2^22 elements
+    with pytest.raises(ValueError):
+        make_field(2, 1, 2)  # only F_q2 is modelled
 
 
 def test_conj_fixes_zero_and_one():
@@ -97,7 +94,7 @@ def test_frobenius_is_a_field_automorphism(desc):
             assert conj(a + b) == conj(a) + conj(b)
 
 
-@pytest.mark.parametrize("desc", [F4, F9, F16_Q4], ids=lambda d: f"GF{d.order}")
+@pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
 def test_conj_fixed_set_is_the_q_subfield(desc):
     fixed = [a for a in desc.elements() if conj(a) == a]
     assert len(fixed) == desc.q
@@ -111,25 +108,17 @@ def test_conj_fixed_set_is_the_q_subfield(desc):
 @pytest.mark.parametrize("q,p,l", [(2, 2, 1), (3, 3, 1)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_norm_one_circle_size(q, p, l, d):
-    desc = make_field(p, l, d)
-    count = sum(is_norm_one(a, d) for a in desc.elements())
+    # the circle of F_Q2 for Q = q^d: F4, F16, F64 and F9, F81, F729
+    desc = make_field(p, l * d, 1)
+    count = sum(is_norm_one(a) for a in desc.elements())
     assert count == q**d + 1
 
 
 def test_norm_one_conventions():
-    assert is_norm_one(F4.one, 1)
-    assert not is_norm_one(F4.zero, 1)
-    assert sum(is_norm_one(a, 1) for a in F4.elements()) == 3
-    assert sum(is_norm_one(a, 1) for a in F9.elements()) == 4
-
-
-def test_norm_one_requires_subfield_membership():
-    deg6 = next(a for a in F64.elements() if a.code > 1 and mul_order(a) == 63)
-    with pytest.raises(ValueError):
-        is_norm_one(deg6, 1)
-    # d must cut out a subfield of the ambient tower level
-    with pytest.raises(ValueError):
-        is_norm_one(F64.one, 2)
+    assert is_norm_one(F4.one)
+    assert not is_norm_one(F4.zero)
+    for desc in (F4, F9, F16, F25):
+        assert sum(is_norm_one(a) for a in desc.elements()) == desc.q + 1
 
 
 def test_power_map_identity_exponent():
@@ -140,12 +129,12 @@ def test_power_map_identity_exponent():
 
 
 def test_power_map_on_the_norm_one_circle_of_f4():
-    mu3 = [a for a in F4.elements() if is_norm_one(a, 1)]
+    mu3 = [a for a in F4.elements() if is_norm_one(a)]
     assert {power_map(a, 3).code for a in mu3} == {1}
     assert {power_map(a, 2).code for a in mu3} == {a.code for a in mu3}
 
 
-@pytest.mark.parametrize("desc", [F4, F9, F16_D2], ids=lambda d: f"GF{d.order}")
+@pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
 def test_power_map_composes(desc):
     for a in desc.elements():
         for M in (2, 3, 5):
@@ -153,24 +142,35 @@ def test_power_map_composes(desc):
                 assert power_map(power_map(a, M), N) == power_map(a, M * N)
 
 
-def fresh_f4():
-    # a new descriptor of F_4, outside the make_field cache, tables not built
-    return FieldDesc(PrimePower(2, 1), 1)
+def broken_modulus(p, degree):
+    # t^2 + 1 = (t + 1)^2 over F_2: the residue of t passes the generator
+    # test but has order 2 in the quotient ring, so t^3 = t, not 1
+    return (1, 0, 1)
+
+
+def no_prime_factors_of_three(real):
+    # with every prime factor of |F_4^*| = 3 replaced by 1, every candidate
+    # looks like a non-generator; the irreducibility test of the modulus
+    # still sees the true factors
+    return lambda n: [1] if n == 3 else real(n)
 
 
 def test_field_without_a_primitive_element_raises(monkeypatch):
-    desc = fresh_f4()
-    # with every prime factor of |F_4^*| = 3 replaced by 1, every candidate
-    # looks like a non-generator
-    monkeypatch.setattr(gf, "prime_factors", lambda n: [1])
+    monkeypatch.setattr(gf, "prime_factors", no_prime_factors_of_three(gf.prime_factors))
     with pytest.raises(FieldInvariantError, match="no primitive element"):
-        desc._ensure_tables()
+        FieldDesc(PrimePower(2, 1))
 
 
-def test_power_walk_that_does_not_close_raises():
-    desc = fresh_f4()
-    # t^2 + 1 = (t + 1)^2 over F_2: the residue of t passes the generator
-    # test but has order 2 in the quotient ring, so t^3 = t, not 1
+def test_power_walk_that_does_not_close_raises(monkeypatch):
+    monkeypatch.setattr(gf, "_least_irreducible", broken_modulus)
+    with pytest.raises(FieldInvariantError, match="do not return to 1"):
+        FieldDesc(PrimePower(2, 1))
+
+
+def test_rebuilding_the_tables_checks_again():
+    desc = FieldDesc(PrimePower(2, 1))
+    desc._ensure_tables()  # no early return: a second build passes again
+    assert desc.mul_c(2, 3) == desc._mul_raw(2, 3)
     desc.modulus = (1, 0, 1)
     with pytest.raises(FieldInvariantError, match="do not return to 1"):
         desc._ensure_tables()
@@ -182,18 +182,18 @@ def test_field_invariant_checks_survive_python_O():
         "from unitary_powers import FieldInvariantError, gf\n"
         "from unitary_powers.gf import FieldDesc, PrimePower\n"
         "caught = 0\n"
-        "desc = FieldDesc(PrimePower(2, 1), 1)\n"
-        "desc.modulus = (1, 0, 1)\n"
+        "real_modulus, real_factors = gf._least_irreducible, gf.prime_factors\n"
+        "gf._least_irreducible = lambda p, degree: (1, 0, 1)\n"
         "try:\n"
-        "    desc._ensure_tables()\n"
-        "except FieldInvariantError:\n"
-        "    caught += 1\n"
-        "desc = FieldDesc(PrimePower(2, 1), 1)\n"
-        "gf.prime_factors = lambda n: [1]\n"
+        "    FieldDesc(PrimePower(2, 1))\n"
+        "except FieldInvariantError as exc:\n"
+        "    caught += 'do not return to 1' in str(exc)\n"
+        "gf._least_irreducible = real_modulus\n"
+        "gf.prime_factors = lambda n: [1] if n == 3 else real_factors(n)\n"
         "try:\n"
-        "    desc._ensure_tables()\n"
-        "except FieldInvariantError:\n"
-        "    caught += 1\n"
+        "    FieldDesc(PrimePower(2, 1))\n"
+        "except FieldInvariantError as exc:\n"
+        "    caught += 'no primitive element' in str(exc)\n"
         "sys.exit(0 if caught == 2 and sys.flags.optimize else 1)\n"
     )
     src = str(Path(unitary_powers.__file__).resolve().parents[1])
@@ -202,3 +202,28 @@ def test_field_invariant_checks_survive_python_O():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_tables_match_polynomial_arithmetic_on_f_257_squared():
+    # 66049 elements, the largest field the suite builds
+    desc = make_field(257, 1, 1)
+    p, q, n = desc.p, desc.q, desc.order - 1
+
+    def digitwise(a, b, sign):
+        return desc.code_of(x + sign * y for x, y in zip(desc.coords_of(a), desc.coords_of(b)))
+
+    rng = random.Random(2027)
+    pairs = [(rng.randrange(desc.order), rng.randrange(desc.order)) for _ in range(400)]
+    pairs += [(0, 0), (0, 5), (1, p - 1), (p, desc.neg_c(p))]
+    for a, b in pairs:
+        assert desc.mul_c(a, b) == desc._mul_raw(a, b)
+        assert desc.add_c(a, b) == digitwise(a, b, 1)
+        assert desc.sub_c(a, b) == digitwise(a, b, -1)
+        assert desc.neg_c(a) == digitwise(0, a, -1)
+        assert desc.conj_c(a) == desc._pow_raw(a, q)
+        e = rng.randrange(-2 * n, 2 * n)
+        if a == 0:
+            continue
+        inv = desc._pow_raw(a, n - 1)
+        assert desc.inv_c(a) == inv
+        assert desc.pow_c(a, e) == (desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e))

@@ -119,6 +119,15 @@ def test_irreducible_quadratics_over_f4_match_necklace_count():
         assert is_irreducible(f) == (f in brute)
 
 
+def test_factor_and_sieve_caches_are_bounded():
+    # one `enumerate` benchmark round keeps about 735 factorisations and 9
+    # sieved lists; the bounds hold a round without evicting
+    factor_max = factor.cache_info().maxsize
+    sieve_max = irreducible_polys.cache_info().maxsize
+    assert factor_max is not None and factor_max >= 1024
+    assert sieve_max is not None and sieve_max >= 64
+
+
 def test_t_cubed_minus_one_over_f4():
     f = Poly(F4, (1, 0, 0, 1))  # t^3 - 1 = t^3 + 1 in characteristic 2
     assert not is_irreducible(f)
