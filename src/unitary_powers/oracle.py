@@ -19,10 +19,12 @@ the smaller member.  By Wall (1963) the datum determines the U-conjugacy
 class, and Wall gives both the centraliser order of every datum and the
 number of classes of U(n, q).
 
-U-conjugacy classes are the orbits of X -> s X s^(-1) for s in S, each
-closed from its smallest member, which costs 2 |G| |S| matrix products in
-all.  The datum is computed once per orbit, on that member, and three checks
-make the orbits trustworthy, each raising `OracleInvariantError`:
+U-conjugacy classes are the orbits of X -> s^(-1) X s for s in S, each
+closed from its smallest member.  The closure keeps its right Cayley table
+(the index of X s for every element X and generator s), so an orbit step
+inv(R_s(inv(R_s(X)))) is four index lookups and no matrix product.  The
+datum is computed once per orbit, on that member, and three checks make the
+orbits trustworthy, each raising `OracleInvariantError`:
 
   * the representatives' data are pairwise distinct;
   * every orbit has |G| / |C_U(datum)| elements, Wall's class size;
@@ -51,7 +53,7 @@ from math import gcd
 
 from . import polyalg
 from ._numth import prime_power
-from .gf import FieldDesc, FieldElem, make_field
+from .gf import FieldDesc, make_field
 from .polyalg import Poly
 from .series import group_order_U
 
@@ -107,29 +109,6 @@ class MatrixRep:
     def identity(cls, desc: FieldDesc, n: int) -> "MatrixRep":
         return cls(desc, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def from_rows(cls, desc: FieldDesc, rows) -> "MatrixRep":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        flat = []
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix must be square")
-            for c in r:
-                flat.append(c.code if isinstance(c, FieldElem) else int(c))
-        return cls(desc, n, flat)
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return FieldElem(self.desc, self.codes[i * self.n + j])
-
-    @property
-    def entries(self) -> tuple[tuple[FieldElem, ...], ...]:
-        n = self.n
-        return tuple(
-            tuple(FieldElem(self.desc, self.codes[i * n + j]) for j in range(n))
-            for i in range(n)
-        )
-
     def rows(self) -> list[list[int]]:
         n = self.n
         return [list(self.codes[i * n : (i + 1) * n]) for i in range(n)]
@@ -153,15 +132,21 @@ class MatrixRep:
         return MatrixRep(self.desc, n, out)
 
     def __pow__(self, e: int) -> "MatrixRep":
+        # from the lowest set bit of e, so the identity is never a factor
         if e < 0:
             raise ValueError("negative matrix powers are not needed here")
-        result = MatrixRep.identity(self.desc, self.n)
+        if e == 0:
+            return MatrixRep.identity(self.desc, self.n)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            if e > 1:
-                base = base * base
             e >>= 1
         return result
 
@@ -327,9 +312,6 @@ class ConjugacyDatum:
     def items(self) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
         return self.assignments
 
-    def as_dict(self) -> dict[Poly, tuple[int, ...]]:
-        return dict(self.assignments)
-
     def __str__(self):
         return ";".join(f"{phi}:{'+'.join(map(str, lam))}" for phi, lam in self.assignments)
 
@@ -459,18 +441,43 @@ class ConjClass:
     kind: MatrixClassKind
 
 
-class GroupTable:
-    """Explicit element list of U(n, q) and the generating set it was built
-    with, with lazily computed classes."""
+def _remap(row, pos) -> list[int]:
+    """The Cayley row carried through the index map pos; raises
+    `OracleInvariantError` unless it is a permutation."""
+    order = len(pos)
+    out = [-1] * order
+    hit = bytearray(order)
+    if len(row) == order:
+        for i, j in enumerate(row):
+            if not 0 <= j < order or hit[j]:
+                break
+            hit[j] = 1
+            out[pos[i]] = pos[j]
+        else:
+            return out
+    raise OracleInvariantError("a Cayley table row is not a permutation")
 
-    def __init__(self, n: int, q: int, desc: FieldDesc, elements, generators):
+
+class GroupTable:
+    """Explicit element list of U(n, q), sorted by codes, the generating set
+    it was built with, lazily computed classes, and the right Cayley table:
+    right[k][i] indexes elements[i] * generators[k].  The table comes over
+    the given element order; each row must be a permutation (else
+    `OracleInvariantError`) and is remapped to the sorted order."""
+
+    def __init__(self, n: int, q: int, desc: FieldDesc, elements, generators, right):
         self.n = n
         self.q = q
         self.desc = desc
         self.generators = tuple(generators)
+        if len(right) != len(self.generators):
+            raise OracleInvariantError("need one Cayley table row per generator")
+        elements = list(elements)
         self.elements = sorted(elements, key=lambda A: A.codes)
         self.index = {A.codes: i for i, A in enumerate(self.elements)}
-        self.order = len(self.elements)
+        pos = [self.index[A.codes] for A in elements]
+        self.right = tuple(_remap(row, pos) for row in right)
+        self.order = len(pos)
         self._classes = None
 
     def __len__(self):
@@ -486,9 +493,10 @@ class GroupTable:
         return self._classes
 
     def _compute_classes(self) -> tuple[ConjClass, ...]:
-        """Orbits of conjugation by the generating set, each closed from its
-        smallest member, its representative and the only element whose
-        datum is computed.
+        """Orbits of X -> s^(-1) X s = inv(R_s(inv(R_s(X)))) for the rows R_s
+        of the Cayley table, with inv the unitary inverse as a permutation.
+        Each orbit is closed from its smallest member, its representative and
+        the only element whose datum is computed.
 
         Raises `OracleInvariantError` when two representatives share a
         datum, when an orbit's size is not |G| / |C_U(datum)| by Wall's
@@ -496,24 +504,24 @@ class GroupTable:
         number.  An orbit lies inside one U-class, so a generating set that
         left a class split into several orbits fails the first two checks.
         """
-        pairs = [(s, _unitary_inverse(s)) for s in self.generators]
-        seen: set = set()
+        inv = [self.index.get(_unitary_inverse(A).codes) for A in self.elements]
+        if None in inv:
+            raise OracleInvariantError("an element's unitary inverse is not in the group")
+        rows = self.right
+        seen = bytearray(self.order)
         data: set = set()
         out = []
-        for A in self.elements:
-            if A.codes in seen:
+        for a, A in enumerate(self.elements):
+            if seen[a]:
                 continue
-            orbit = {A.codes}
-            frontier = [A]
-            while frontier:
-                fresh = []
-                for X in frontier:
-                    for s, s_inv in pairs:
-                        Y = s * X * s_inv
-                        if Y.codes not in orbit:
-                            orbit.add(Y.codes)
-                            fresh.append(Y)
-                frontier = fresh
+            seen[a] = 1
+            orbit = [a]
+            for x in orbit:  # grows while it is walked
+                for r in rows:
+                    y = inv[r[inv[r[x]]]]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
             dm = datum_of(A)
             if dm in data:
                 raise OracleInvariantError(f"two conjugation orbits share the datum {dm}")
@@ -524,8 +532,8 @@ class GroupTable:
                     f"the orbit of datum {dm} has {len(orbit)} elements, but Wall's "
                     f"class size is {self.order}/{centraliser}"
                 )
-            seen |= orbit
-            out.append(ConjClass(A, len(orbit), frozenset(orbit), dm, kind_of_datum(dm)))
+            members = frozenset(self.elements[x].codes for x in orbit)
+            out.append(ConjClass(A, len(orbit), members, dm, kind_of_datum(dm)))
         if sum(c.size for c in out) != self.order:
             raise OracleInvariantError("class sizes do not sum to the group order")
         expected = _wall_class_number(self.n, self.q)
@@ -578,17 +586,17 @@ def _wall_class_number(n: int, q: int) -> int:
 
 
 def _seed_elements(desc: FieldDesc, n: int):
-    """Structured unitary matrices that generate U(n, q): the diagonal torus,
-    the unipotent upper-triangular radical, and the unitary monomials.
+    """Structured unitary matrices that generate U(n, q): the unipotent
+    upper-triangular radical and the unitary monomials (the diagonal torus
+    among them).  A monomial with v_i at (i, pi(i)) is unitary iff pi
+    commutes with i -> n-1-i and v_(n-1-i) = conj(v_i)^(-1), so only those
+    are made; each must still pass `is_unitary` (else
+    `OracleInvariantError`).
 
     They come in the order they are tried as generators: larger element
     order first, which keeps the generating set small, ties by codes."""
     Q = desc.order
     seeds = []
-    for diag in itertools.product(range(1, Q), repeat=n):
-        A = MatrixRep(desc, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
-        if is_unitary(A):
-            seeds.append(A)
     upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for vals in itertools.product(range(Q), repeat=len(upper_slots)):
         codes = [0] * (n * n)
@@ -599,14 +607,26 @@ def _seed_elements(desc: FieldDesc, n: int):
         A = MatrixRep(desc, n, tuple(codes))
         if is_unitary(A):
             seeds.append(A)
+    mul, inv, cj = desc.mul_c, desc.inv_c, desc.conj_c
+    half = n // 2
+    choices = [range(1, Q)] * half
+    if n % 2:
+        choices.append([v for v in range(1, Q) if mul(v, cj(v)) == 1])
+    entries = [
+        vals + tuple(inv(cj(a)) for a in reversed(vals[:half]))
+        for vals in itertools.product(*choices)
+    ]
     for perm in itertools.permutations(range(n)):
-        for vals in itertools.product(range(1, Q), repeat=n):
+        if any(perm[n - 1 - i] != n - 1 - perm[i] for i in range(n)):
+            continue
+        for v in entries:
             codes = [0] * (n * n)
             for i in range(n):
-                codes[i * n + perm[i]] = vals[i]
+                codes[i * n + perm[i]] = v[i]
             A = MatrixRep(desc, n, tuple(codes))
-            if is_unitary(A):
-                seeds.append(A)
+            if not is_unitary(A):
+                raise OracleInvariantError(f"the monomial seed {A.codes} is not unitary")
+            seeds.append(A)
     unique = {A.codes: A for A in seeds}
     return sorted(unique.values(), key=lambda A: (-_element_order(A), A.codes))
 
@@ -620,36 +640,45 @@ def _element_order(A: MatrixRep) -> int:
 
 
 def _greedy_generators(desc: FieldDesc, n: int, expected: int):
-    """A generating set chosen greedily from the seeds, in their order, and
-    the subgroup it generates (codes -> matrix).
+    """A generating set chosen greedily from the seeds, in their order, the
+    subgroup it generates, and its right Cayley table (see `GroupTable`).
 
     A seed joins the set only when it lies outside the subgroup generated so
     far; the subgroup is then extended by closing under right
     multiplication, the old elements by the new generator and the new
-    elements by all of them.  The choice stops once the subgroup reaches the
-    expected order.
+    elements by all of them, so every element meets every generator exactly
+    once.  The choice stops once the subgroup reaches the expected order.
     """
     ident = MatrixRep.identity(desc, n)
-    group = {ident.codes: ident}
+    elements = [ident]
+    index = {ident.codes: 0}
     gens: list[MatrixRep] = []
+    right: list[list[int]] = []
     for seed in _seed_elements(desc, n):
-        if len(group) >= expected:
+        if len(elements) >= expected:
             break
-        if seed.codes in group:
+        if seed.codes in index:
             continue
         gens.append(seed)
-        frontier = list(group.values())
-        step = [seed]
+        right.append([])
+        frontier = range(len(elements))
+        step = [len(gens) - 1]
         while frontier:
+            for row in right:
+                row.extend([-1] * (len(elements) - len(row)))
             fresh = []
-            for A in frontier:
-                for g in step:
-                    B = A * g
-                    if B.codes not in group:
-                        group[B.codes] = B
-                        fresh.append(B)
-            frontier, step = fresh, gens
-    return gens, group
+            for i in frontier:
+                A = elements[i]
+                for k in step:
+                    B = A * gens[k]
+                    j = index.get(B.codes)
+                    if j is None:
+                        j = index[B.codes] = len(elements)
+                        elements.append(B)
+                        fresh.append(j)
+                    right[k][i] = j
+            frontier, step = fresh, range(len(gens))
+    return gens, elements, right
 
 
 def build_group(n: int, q: int) -> GroupTable:
@@ -665,12 +694,12 @@ def build_group(n: int, q: int) -> GroupTable:
     p, l = prime_power(q)
     desc = make_field(p, l, 1)
     expected = group_order_U(n, q)
-    generators, closure = _greedy_generators(desc, n, expected)
-    if len(closure) != expected:
+    generators, elements, right = _greedy_generators(desc, n, expected)
+    if len(elements) != expected:
         raise OracleInvariantError(
-            f"constructed {len(closure)} elements of U({n},{q}), expected {expected}"
+            f"constructed {len(elements)} elements of U({n},{q}), expected {expected}"
         )
-    return GroupTable(n, q, desc, closure.values(), generators)
+    return GroupTable(n, q, desc, elements, generators, right)
 
 
 @lru_cache(maxsize=16)

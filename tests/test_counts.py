@@ -7,6 +7,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unitary_powers
 from unitary_powers import EnumerationBoundError, counts
@@ -260,3 +262,26 @@ def test_validation_of_arguments():
         count_mtilde_scim(2, 0, 2)
     with pytest.raises(ValueError):
         count_mtilde_scim(2, 1, 0)
+
+
+@st.composite
+def count_cell(draw):
+    """(q, d, M) with q^(2d) <= 2^16 and M <= 12."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    d_max = max(d for d in range(1, 17) if q ** (2 * d) <= 1 << 16)
+    return q, draw(st.integers(1, d_max)), draw(st.integers(1, 12))
+
+
+@settings(deadline=None)
+@given(count_cell())
+@example((2, 3, 1))
+@example((9, 2, 1))
+def test_power_counts_are_bounded_by_the_totals(cell):
+    q, d, M = cell
+    n, n_M = count_scim(q, d), count_mtilde_scim(q, d, M)
+    r, r_M = count_pairs(q, d), count_mpower_pairs(q, d, M)
+    assert 0 <= n_M <= n
+    assert 0 <= r_M <= r
+    if M == 1:
+        assert (n_M, r_M) == (n, r)
+

@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitary_powers.counts import DEFAULT_ENUM_BOUND
 from unitary_powers.genfun import (
     Family,
     Kind,
@@ -160,3 +163,24 @@ def test_centralizer_order_rejects_unsupported_shapes():
         centralizer_order(mixed, 2)
     with pytest.raises(ValueError):
         centralizer_order(ConjugacyDatum(1, ((t_minus_1, (1,)),)), 3)  # wrong q
+
+
+@st.composite
+def class_series_cell(draw):
+    """(q, M, T): prime M coprime to q, and T <= 8 within the pair-count
+    enumeration bound (q^(2d) for pair degrees d <= T/2)."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    M = draw(st.sampled_from([p for p in (2, 3, 5, 7, 11, 13) if q % p]))
+    T_max = max(T for T in range(9) if q ** (2 * (T // 2)) <= DEFAULT_ENUM_BOUND)
+    return q, M, draw(st.integers(0, T_max))
+
+
+@settings(deadline=None)
+@given(class_series_cell())
+def test_separable_class_series_is_below_cyclic_and_semisimple(cell):
+    # a separable class is both cyclic and semisimple
+    q, M, T = cell
+    sep = sep_class_series(q, M, T).coeffs
+    for other in (cyc_class_series(q, M, T), ss_class_series(q, M, T)):
+        assert all(a <= b for a, b in zip(sep, other.coeffs))
+

@@ -12,8 +12,9 @@ import pytest
 import unitary_powers
 from test_acceptance import ORACLE_PAIRS
 from unitary_powers import oracle
+from unitary_powers._numth import prime_power
 from unitary_powers.genfun import centralizer_order
-from unitary_powers.gf import make_field
+from unitary_powers.gf import _field, make_field
 from unitary_powers.oracle import (
     GroupTable,
     MatrixRep,
@@ -153,6 +154,47 @@ def test_closure_fallback_matches_the_scan(n, q):
     assert [A.codes for A in G.elements] == scan_elements(G.desc, n)
 
 
+def filtered_seeds(desc, n):
+    """Codes of the seed set found by filtering with `is_unitary`: every
+    diagonal, unipotent upper-triangular and monomial candidate."""
+    Q = desc.order
+    candidates = []
+    for diag in itertools.product(range(1, Q), repeat=n):
+        candidates.append(tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+    upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for vals in itertools.product(range(Q), repeat=len(upper_slots)):
+        codes = [0] * (n * n)
+        for i in range(n):
+            codes[i * n + i] = 1
+        for (i, j), v in zip(upper_slots, vals):
+            codes[i * n + j] = v
+        candidates.append(tuple(codes))
+    for perm in itertools.permutations(range(n)):
+        for vals in itertools.product(range(1, Q), repeat=n):
+            codes = [0] * (n * n)
+            for i in range(n):
+                codes[i * n + perm[i]] = vals[i]
+            candidates.append(tuple(codes))
+    return {c for c in candidates if is_unitary(MatrixRep(desc, n, c))}
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3), (4, 2), (1, 257)])
+def test_seed_elements_match_the_unitary_filter(n, q):
+    desc = make_field(*prime_power(q), 1)
+    seeds = oracle._seed_elements(desc, n)
+    assert len(seeds) == len({A.codes for A in seeds})
+    assert {A.codes for A in seeds} == filtered_seeds(desc, n)
+
+
+def test_non_unitary_monomial_seed_raises(monkeypatch):
+    # with inversion broken, v_(n-1-i) = conj(v_i)^(-1) gives non-unitary
+    # monomials; the descriptor is built outside the make_field cache
+    desc = _field.__wrapped__(3, 1)
+    monkeypatch.setattr(desc, "inv_c", lambda a: a)
+    with pytest.raises(OracleInvariantError, match="not unitary"):
+        oracle._seed_elements(desc, 2)
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
 def test_unitary_inverse_inverts_every_element(n, q):
     G = group_table(n, q)
@@ -179,6 +221,38 @@ def test_generator_orbits_match_all_element_conjugation(n, q):
     G = group_table(n, q)
     got = [(c.rep.codes, c.size, c.member_codes) for c in G.classes]
     assert got == reference_classes(G)
+
+
+def product_orbits(G):
+    """Classes by matrix products: each smallest unseen element closed under
+    X -> s X s^(-1) for the generators s."""
+    pairs = [(s, _unitary_inverse(s)) for s in G.generators]
+    seen = set()
+    out = []
+    for A in G.elements:
+        if A.codes in seen:
+            continue
+        orbit = {A.codes}
+        frontier = [A]
+        while frontier:
+            fresh = []
+            for X in frontier:
+                for s, s_inv in pairs:
+                    Y = s * X * s_inv
+                    if Y.codes not in orbit:
+                        orbit.add(Y.codes)
+                        fresh.append(Y)
+            frontier = fresh
+        seen |= orbit
+        out.append((A.codes, len(orbit), frozenset(orbit)))
+    return out
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(2, 7)])
+def test_table_orbits_match_product_orbits(n, q):
+    G = group_table(n, q)
+    got = [(c.rep.codes, c.size, c.member_codes) for c in G.classes]
+    assert got == product_orbits(G)
 
 
 @pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(2, 7)])
@@ -214,7 +288,7 @@ def fresh_classes(n, q):
     """Classes of a new table over the cached group's elements and
     generators, computed afresh rather than taken from the cache."""
     G = group_table(n, q)
-    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators).classes
+    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators, G.right).classes
 
 
 def test_shared_datum_raises(monkeypatch):
@@ -246,7 +320,7 @@ def test_classes_under_a_proper_subgroup_raise():
     sub = G.generators[:1]
     assert len(closure(sub, G.desc, 2)) < len(G)
     with pytest.raises(OracleInvariantError):
-        GroupTable(G.n, G.q, G.desc, G.elements, sub).classes
+        GroupTable(G.n, G.q, G.desc, G.elements, sub, G.right[:1]).classes
 
 
 def test_proper_subgroup_check_survives_python_O():
@@ -255,7 +329,7 @@ def test_proper_subgroup_check_survives_python_O():
         "from unitary_powers import GroupTable, OracleInvariantError, group_table\n"
         "G = group_table(2, 2)\n"
         "try:\n"
-        "    GroupTable(G.n, G.q, G.desc, G.elements, G.generators[:1]).classes\n"
+        "    GroupTable(G.n, G.q, G.desc, G.elements, G.generators[:1], G.right[:1]).classes\n"
         "except OracleInvariantError:\n"
         "    sys.exit(0 if sys.flags.optimize else 4)\n"
         "sys.exit(1)\n"
@@ -266,6 +340,64 @@ def test_proper_subgroup_check_survives_python_O():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS)
+def test_cayley_table_rows_are_the_generator_products(n, q):
+    G = group_table(n, q)
+    assert len(G.right) == len(G.generators)
+    for s, row in zip(G.generators, G.right):
+        assert row == [G.index[(A * s).codes] for A in G.elements]
+
+
+def with_row(G, row):
+    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators, (row,) + G.right[1:])
+
+
+def test_cayley_row_with_a_repeated_entry_raises():
+    G = group_table(2, 2)
+    row = list(G.right[0])
+    row[1] = row[0]
+    with pytest.raises(OracleInvariantError, match="not a permutation"):
+        with_row(G, row)
+
+
+def test_swapped_cayley_entries_fail_a_wall_check():
+    G = group_table(2, 2)
+    row = list(G.right[0])
+    row[0], row[1] = row[1], row[0]
+    with pytest.raises(OracleInvariantError, match="class size|class number|share the datum"):
+        with_row(G, row).classes
+
+
+def test_every_swapped_cayley_pair_is_caught_or_harmless():
+    # a swap that the Wall checks let through leaves every class as it was
+    G = group_table(2, 2)
+    want = [(c.rep.codes, c.member_codes) for c in G.classes]
+    caught = 0
+    for a, b in itertools.combinations(range(len(G)), 2):
+        row = list(G.right[0])
+        row[a], row[b] = row[b], row[a]
+        try:
+            classes = with_row(G, row).classes
+        except OracleInvariantError:
+            caught += 1
+            continue
+        assert [(c.rep.codes, c.member_codes) for c in classes] == want
+    assert caught > 0
+
+
+def test_matrix_power_equals_repeated_products():
+    G = group_table(2, 5)
+    ident = MatrixRep.identity(G.desc, 2)
+    for A in list(G.generators) + G.elements[::97]:
+        assert A**0 == ident
+        B = ident
+        for e in range(41):
+            assert A**e == B
+            B = B * A
+        with pytest.raises(ValueError):
+            A ** -1
 
 
 def test_classify_matrix_examples():
