@@ -21,10 +21,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import __version__, counts, genfun, oracle
-from ._numth import EnumerationBoundError, is_prime
+from ._numth import EnumerationBoundError
 from .counts import CountInvariantError
 from .genfun import Family, Kind
 from .gf import FieldInvariantError
@@ -116,15 +115,6 @@ def run_series(cfg: RunConfig) -> Report:
     return Report(_meta(cfg, family=family.value, kind=cfg.kind.value), _SERIES_COLUMNS, rows)
 
 
-def _applicable_families(q: int, M: int) -> tuple[Family, ...]:
-    out = [Family.SEPARABLE]
-    if gcd(M, q) == 1:
-        out.append(Family.CYCLIC)
-        if M == 1 or is_prime(M):
-            out.append(Family.SEMISIMPLE)
-    return tuple(out)
-
-
 def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, order: int) -> Fraction:
     tag = {Family.SEPARABLE: "separable", Family.CYCLIC: "cyclic", Family.SEMISIMPLE: "semisimple"}[family]
     if kind is Kind.CLASSES:
@@ -142,7 +132,7 @@ def _check_oracle_range(q: int, n_max: int):
 
 
 def run_verify(cfg: RunConfig) -> Report:
-    families = cfg.families or _applicable_families(cfg.q, cfg.M)
+    families = cfg.families or genfun.applicable_families(cfg.q, cfg.M)
     kinds = (cfg.kind,) if cfg.kind else (Kind.CLASSES, Kind.ELEMENTS)
     _check_oracle_range(cfg.q, cfg.n_max)
     T = cfg.n_max

@@ -7,26 +7,35 @@ whose z^n coefficient is the corresponding number of group elements divided
 by |U(n, q)|.  The element coefficients are sums of reciprocal centraliser
 orders over the qualifying classes, which is why they come out as proportions.
 
-With N~_M and R~_M the counts from `counts` (N~ = N~_1, R~ = R~_1):
+Every series is a product, over the polynomial families in `_FACTOR_TABLE`,
+of one factor per degree d raised to the family's count in that degree.  A
+table row is (count, pair?, steps by M?):
 
-  separable classes    prod over odd d of (1 + z^d)^N~_M
-                       * prod over d >= 1 of (1 + z^(2d))^R~_M
-  separable elements   same shape with z^d/(q^d + 1) and z^(2d)/(q^(2d) - 1)
-  cyclic classes       prod (1 - z^d)^-N~_M * prod (1 - z^(2d))^-R~_M
-  cyclic elements      factors 1 + sum over m of z^(dm)/(q^(d(m-1)) (q^d+1))
-                       and the pair analogue with 2d and q^(2d) - 1
-  semisimple classes   the cyclic-classes product times
-                       prod (1 - z^(dM))^-S~'_M * prod (1 - z^(2dM))^-S'_M
-  semisimple elements  factors 1 + sum z^(dm)/|U(m, q^(2d))| etc., with the
-                       non-power families stepping by M and using
-                       |U(mM, q^(2d))| and |GL(mM, q^(2d))|
+  count_mtilde_scim   SCIMs of degree d that are M~-powers, N~_M
+  count_mpower_pairs  pairs {g, g~} of degree d that are M-powers, R~_M
+  s_tilde_prime       SCIMs that are not M~-powers, S~'_M   (semisimple only)
+  s_prime             pairs that are not M-powers, S'_M     (semisimple only)
+
+A SCIM of degree d gives blocks of degree d, a pair blocks of degree 2d,
+and multiplicity m contributes z^(block degree * m).  The non-power rows
+occur only with multiplicities in M*Z.  A row's factor sums over the
+multiplicities the family allows, each with weight 1 (classes) or the
+reciprocal centraliser order of the block (elements, `_block_centraliser`):
+
+  separable   m <= 1: (1 + z^d)^N~_M, (1 + z^d / (q^d + 1))^N~_M, ...
+  cyclic      partition [m]: (1 - z^d)^-N~_M for classes; centraliser
+              q^(d(m-1)) (q^d + 1) for a SCIM, q^(2d(m-1)) (q^(2d) - 1)
+              for a pair
+  semisimple  partition [1^m]: (1 - z^d)^-N~_M, ..., (1 - z^(dM))^-S~'_M
+              for classes; centraliser |U(m, q^(2d))| for a SCIM,
+              |GL(m, q^(2d))| for a pair
 
 Hypotheses: the cyclic series need gcd(M, q) = 1 (an M-th power of a
 unipotent block collapses when the characteristic divides M), and the
 semisimple series need M prime with gcd(M, q) = 1 (the degree dichotomy for
 f(x^M) holds factor by factor only for prime M).  M = 1 is accepted
 everywhere and yields the unrestricted all-matrices series, used as a sanity
-baseline.
+baseline.  `applicable_families` is the one statement of these hypotheses.
 
 `centralizer_order` gives |C_U(A)| for classes of the three supported shapes.
 """
@@ -50,6 +59,7 @@ __all__ = [
     "Family",
     "Kind",
     "SeriesRequest",
+    "applicable_families",
     "series_for",
     "sep_class_series",
     "sep_elem_series",
@@ -72,24 +82,19 @@ class Kind(str, Enum):
     ELEMENTS = "elements"
 
 
-def _check_common(q: int, M: int, T: int):
-    counts._validate(q, 1, M)
-    if T < 0:
-        raise ValueError("truncation must be non-negative")
+_HYPOTHESES = {
+    Family.CYCLIC: "gcd(M, q) = 1",
+    Family.SEMISIMPLE: "prime M with gcd(M, q) = 1",
+}
 
 
-def _check_cyclic(q: int, M: int):
+def applicable_families(q: int, M: int) -> tuple[Family, ...]:
+    """The families whose series hypotheses hold for (q, M), in `Family` order."""
     if gcd(M, q) != 1:
-        raise ValueError(f"cyclic series require gcd(M, q) = 1, got M={M}, q={q}")
-
-
-def _check_semisimple(q: int, M: int):
-    if M == 1:
-        return
-    if not is_prime(M) or gcd(M, q) != 1:
-        raise ValueError(
-            f"semisimple series require prime M with gcd(M, q) = 1, got M={M}, q={q}"
-        )
+        return (Family.SEPARABLE,)
+    if M == 1 or is_prime(M):
+        return tuple(Family)
+    return (Family.SEPARABLE, Family.CYCLIC)
 
 
 @dataclass(frozen=True)
@@ -101,192 +106,116 @@ class SeriesRequest:
     kind: Kind
 
     def __post_init__(self):
-        _check_common(self.q, self.M, self.T)
-        if self.family is Family.CYCLIC:
-            _check_cyclic(self.q, self.M)
-        if self.family is Family.SEMISIMPLE:
-            _check_semisimple(self.q, self.M)
-
-
-def series_for(request: SeriesRequest) -> Series:
-    table = {
-        (Family.SEPARABLE, Kind.CLASSES): sep_class_series,
-        (Family.SEPARABLE, Kind.ELEMENTS): sep_elem_series,
-        (Family.CYCLIC, Kind.CLASSES): cyc_class_series,
-        (Family.CYCLIC, Kind.ELEMENTS): cyc_elem_series,
-        (Family.SEMISIMPLE, Kind.CLASSES): ss_class_series,
-        (Family.SEMISIMPLE, Kind.ELEMENTS): ss_elem_series,
-    }
-    return table[(request.family, request.kind)](request.q, request.M, request.T)
+        counts._validate(self.q, 1, self.M)
+        if self.T < 0:
+            raise ValueError("truncation must be non-negative")
+        if self.family not in applicable_families(self.q, self.M):
+            raise ValueError(
+                f"{self.family.name.lower()} series require {_HYPOTHESES[self.family]}, "
+                f"got M={self.M}, q={self.q}"
+            )
+        counts.check_pair_field(self.q, self.T // 2)  # the largest pair degree
 
 
 # ----------------------------------------------------------------------
 # series assembly
 # ----------------------------------------------------------------------
 
-def _scim_degrees(T: int):
-    return range(1, T + 1, 2)
+# (count of the family in degree d, pair?, multiplicities step by M?)
+_FACTOR_TABLE = (
+    (counts.count_mtilde_scim, False, False),
+    (counts.count_mpower_pairs, True, False),
+    (counts.s_tilde_prime, False, True),
+    (counts.s_prime, True, True),
+)
 
 
-def _pair_degrees(T: int):
-    return range(1, T // 2 + 1)
+def series_for(request: SeriesRequest) -> Series:
+    """The series of `request`, truncated at z^T."""
+    q, M, T, family, kind = request.q, request.M, request.T, request.family, request.kind
+    rows = _FACTOR_TABLE if family is Family.SEMISIMPLE else _FACTOR_TABLE[:2]
+    s = series.one(T)
+    for count, pair, by_M in rows:
+        step = M if by_M else 1
+        # SCIMs have odd degree; pairs have every degree and blocks of twice it
+        for d in range(1, T // ((2 if pair else 1) * step) + 1, 1 if pair else 2):
+            e = count(q, d, M)
+            if e:
+                s = s * _factor_power(q, d, pair, step, family, kind, e, T)
+    return s
+
+
+def _factor_power(
+    q: int, d: int, pair: bool, step: int, family: Family, kind: Kind, e: int, T: int
+) -> Series:
+    """The degree-d factor of one table row, raised to the family count e."""
+    block = 2 * d if pair else d
+    if family is Family.SEPARABLE:
+        if kind is Kind.CLASSES:
+            return series.binom_factor(block, 1, e, T)
+        weight = Fraction(1, _block_centraliser(q, d, pair, False, 1))
+        return series.binom_factor(block, weight, e, T)
+    if kind is Kind.CLASSES:
+        return series.binom_factor(block * step, 1, -e, T)
+    semisimple = family is Family.SEMISIMPLE
+    f = series.euler_factor(
+        block, lambda m: _block_centraliser(q, d, pair, semisimple, m * step), step, T
+    )
+    return f**e
 
 
 def sep_class_series(q: int, M: int, T: int) -> Series:
     """Conjugacy classes of separable matrices that are M-th powers."""
-    _check_common(q, M, T)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            s = s * series.binom_factor(d, 1, e, T)
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            s = s * series.binom_factor(2 * d, 1, e, T)
-    return s
+    return series_for(SeriesRequest(q, M, T, Family.SEPARABLE, Kind.CLASSES))
 
 
 def sep_elem_series(q: int, M: int, T: int) -> Series:
     """Proportion of U(n, q) that is separable and an M-th power."""
-    _check_common(q, M, T)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            s = s * series.binom_factor(d, Fraction(1, q**d + 1), e, T)
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            s = s * series.binom_factor(2 * d, Fraction(1, q ** (2 * d) - 1), e, T)
-    return s
+    return series_for(SeriesRequest(q, M, T, Family.SEPARABLE, Kind.ELEMENTS))
 
 
 def cyc_class_series(q: int, M: int, T: int) -> Series:
     """Conjugacy classes of cyclic matrices that are M-th powers."""
-    _check_common(q, M, T)
-    _check_cyclic(q, M)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            s = s * series.binom_factor(d, 1, -e, T)
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            s = s * series.binom_factor(2 * d, 1, -e, T)
-    return s
+    return series_for(SeriesRequest(q, M, T, Family.CYCLIC, Kind.CLASSES))
 
 
 def cyc_elem_series(q: int, M: int, T: int) -> Series:
-    """Proportion of U(n, q) that is cyclic and an M-th power.
-
-    A cyclic block with companion polynomial of SCIM degree d and
-    multiplicity m has centraliser order q^(d(m-1)) (q^d + 1); geometric
-    expansion of the closed form 1 + z^d / ((q^d+1)(1 - (z/q)^d)) gives
-    exactly those reciprocal terms, so the factors are built term by term.
-    """
-    _check_common(q, M, T)
-    _check_cyclic(q, M)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            f = series.euler_factor(
-                d, lambda m, d=d: q ** (d * (m - 1)) * (q**d + 1), 1, T
-            )
-            s = s * f**e
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            f = series.euler_factor(
-                2 * d, lambda m, d=d: q ** (2 * d * (m - 1)) * (q ** (2 * d) - 1), 1, T
-            )
-            s = s * f**e
-    return s
+    """Proportion of U(n, q) that is cyclic and an M-th power."""
+    return series_for(SeriesRequest(q, M, T, Family.CYCLIC, Kind.ELEMENTS))
 
 
 def ss_class_series(q: int, M: int, T: int) -> Series:
     """Conjugacy classes of semisimple matrices that are M-th powers."""
-    _check_common(q, M, T)
-    _check_semisimple(q, M)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            s = s * series.binom_factor(d, 1, -e, T)
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            s = s * series.binom_factor(2 * d, 1, -e, T)
-    for d in range(1, T // M + 1, 2):
-        e = counts.s_tilde_prime(q, d, M)
-        if e:
-            s = s * series.binom_factor(d * M, 1, -e, T)
-    for d in range(1, T // (2 * M) + 1):
-        e = counts.s_prime(q, d, M)
-        if e:
-            s = s * series.binom_factor(2 * d * M, 1, -e, T)
-    return s
+    return series_for(SeriesRequest(q, M, T, Family.SEMISIMPLE, Kind.CLASSES))
 
 
 def ss_elem_series(q: int, M: int, T: int) -> Series:
-    """Proportion of U(n, q) that is semisimple and an M-th power.
-
-    A semisimple class assigns multiplicity m to each polynomial; the
-    centraliser factor is |U(m, q^(2d))| for a SCIM of degree d (the unitary
-    group over F_{q^(2d)}) and |GL(m, q^(2d))| for a pair of degree d.  SCIMs
-    that are not M~-powers and pairs that are not M-powers only occur with
-    multiplicities in M*Z, stepping their factors by M.
-    """
-    _check_common(q, M, T)
-    _check_semisimple(q, M)
-    s = series.one(T)
-    for d in _scim_degrees(T):
-        e = counts.count_mtilde_scim(q, d, M)
-        if e:
-            f = series.euler_factor(d, lambda m, d=d: group_order_U(m, q**d), 1, T)
-            s = s * f**e
-    for d in _pair_degrees(T):
-        e = counts.count_mpower_pairs(q, d, M)
-        if e:
-            f = series.euler_factor(
-                2 * d, lambda m, d=d: group_order_GL(m, q ** (2 * d)), 1, T
-            )
-            s = s * f**e
-    for d in range(1, T // M + 1, 2):
-        e = counts.s_tilde_prime(q, d, M)
-        if e:
-            f = series.euler_factor(d, lambda m, d=d: group_order_U(m * M, q**d), M, T)
-            s = s * f**e
-    for d in range(1, T // (2 * M) + 1):
-        e = counts.s_prime(q, d, M)
-        if e:
-            f = series.euler_factor(
-                2 * d, lambda m, d=d: group_order_GL(m * M, q ** (2 * d)), M, T
-            )
-            s = s * f**e
-    return s
+    """Proportion of U(n, q) that is semisimple and an M-th power."""
+    return series_for(SeriesRequest(q, M, T, Family.SEMISIMPLE, Kind.ELEMENTS))
 
 
 # ----------------------------------------------------------------------
 # centraliser orders
 # ----------------------------------------------------------------------
 
+def _block_centraliser(q: int, d: int, pair: bool, semisimple: bool, m: int) -> int:
+    """|C_U| of the primary part of one polynomial of degree d (a SCIM, or
+    the member of a pair) with multiplicity m: partition [m] (cyclic) or
+    [1^m] (semisimple).  At m = 1 the two shapes agree."""
+    if pair:
+        Q = q ** (2 * d)
+        return group_order_GL(m, Q) if semisimple else Q ** (m - 1) * (Q - 1)
+    r = q**d
+    return group_order_U(m, r) if semisimple else r ** (m - 1) * (r + 1)
+
+
 def centralizer_order(datum: "ConjugacyDatum", q: int) -> int:
     """|C_U(A)| for a separable, cyclic, or semisimple conjugacy datum.
 
-    Per stored polynomial (SCIM, or the canonical member of a pair) of
-    degree d with partition lambda:
-
-      * all partitions single-part [m] (cyclic shape):
-        q^(d(m-1)) (q^d + 1) for SCIMs, q^(2d(m-1)) (q^(2d) - 1) for pairs;
-      * all partitions all-ones [1^m] (semisimple shape):
-        |U(m, q^(2d))| for SCIMs, |GL(m, q^(2d))| for pairs.
-
-    Separable data ([1] everywhere) satisfy both shapes and both formulas
-    agree there.  Any other partition shape is outside the supported
-    families and is rejected.
+    The product over the stored polynomials (SCIM, or the canonical member
+    of a pair) of `_block_centraliser`.  Separable data ([1] everywhere)
+    have both shapes and the formulas agree there.  Any other partition
+    shape is outside the supported families and is rejected.
     """
     items = datum.items()
     if not items:
@@ -302,15 +231,6 @@ def centralizer_order(datum: "ConjugacyDatum", q: int) -> int:
         )
     total = 1
     for phi, lam in items:
-        d = phi.degree
-        scim = polyalg.tilde(phi) == phi
-        if cyclic_shape:
-            m = lam[0]
-            if scim:
-                total *= q ** (d * (m - 1)) * (q**d + 1)
-            else:
-                total *= q ** (2 * d * (m - 1)) * (q ** (2 * d) - 1)
-        else:
-            m = len(lam)
-            total *= group_order_U(m, q**d) if scim else group_order_GL(m, q ** (2 * d))
+        pair = polyalg.tilde(phi) != phi
+        total *= _block_centraliser(q, phi.degree, pair, not cyclic_shape, sum(lam))
     return total

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Union
 
 __all__ = [
     "Series",
     "one",
-    "zero",
-    "add",
-    "mul",
     "binom_factor",
     "euler_factor",
     "group_order_U",
@@ -79,17 +75,29 @@ class Series:
         return Series(T, tuple(out))
 
     def __pow__(self, e: int) -> "Series":
-        if e < 0:
-            raise ValueError("negative series powers are built via binom_factor")
-        result = one(self.truncation)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        """self ** e by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        Write self = z^s h with h_0 != 0.  Then g = h^e satisfies
+        k h_0 g_k = sum over j = 1..k of ((e + 1) j - k) h_j g_(k-j), and
+        self ** e = z^(s e) g.  Negative e needs s = 0.
+        """
+        T = self.truncation
+        if e == 0:
+            return one(T)
+        s = next((i for i, c in enumerate(self.coeffs) if c), T + 1)
+        if e < 0 and s:
+            raise ValueError("a series with zero constant term has no negative powers")
+        shift = s * e
+        out = [Fraction(0)] * (T + 1)
+        if shift <= T:
+            h = self.coeffs[s:]
+            terms = [(j, c) for j, c in enumerate(h[1 : T + 1 - shift], 1) if c]
+            g = [h[0] ** e]
+            for k in range(1, T + 1 - shift):
+                acc = sum(((e + 1) * j - k) * c * g[k - j] for j, c in terms if j <= k)
+                g.append(acc / (k * h[0]))
+            out[shift:] = g
+        return Series(T, tuple(out))
 
     def __str__(self):
         return " + ".join(f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c) or "0"
@@ -99,37 +107,15 @@ def one(T: int) -> Series:
     return Series(T, (Fraction(1),) + (Fraction(0),) * T)
 
 
-def zero(T: int) -> Series:
-    return Series(T, (Fraction(0),) * (T + 1))
-
-
-def add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
-
-
 def binom_factor(d: int, c: Rational, e: int, T: int) -> Series:
-    """(1 + c z^d)^e for e >= 0, and (1 - c z^d)^e for e < 0, truncated at T.
-
-    The e < 0 case expands through the generalised binomial series
-    (1 - u)^(-n) = sum over j of C(n+j-1, j) u^j with u = c z^d.
-    """
+    """(1 + c z^d)^e for e >= 0, and (1 - c z^d)^e for e < 0, truncated at T."""
     if d < 1:
         raise ValueError("d must be positive")
-    c = Fraction(c)
     out = [Fraction(0)] * (T + 1)
     out[0] = Fraction(1)
-    if e >= 0:
-        for j in range(1, min(e, T // d) + 1):
-            out[d * j] = comb(e, j) * c**j
-    else:
-        n = -e
-        for j in range(1, T // d + 1):
-            out[d * j] = comb(n + j - 1, j) * c**j
-    return Series(T, tuple(out))
+    if d <= T:
+        out[d] = Fraction(c) if e >= 0 else -Fraction(c)
+    return Series(T, tuple(out)) ** e
 
 
 def euler_factor(d: int, denoms: Callable[[int], Rational], step: int, T: int) -> Series:

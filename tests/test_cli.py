@@ -143,6 +143,13 @@ def test_pair_enumeration_bound_exceeded_exits_three(tmp_path):
     assert rc == 3
 
 
+def test_series_pair_field_bound_exits_three(tmp_path):
+    args = ["series", "--q", "2", "--M", "3", "--family", "sep", "--kind", "classes",
+            "--out", str(tmp_path / "x.txt")]
+    assert main(args + ["--T", "21"]) == 0
+    assert main(args + ["--T", "22"]) == 3
+
+
 def test_table_command(tmp_path):
     rc, text = run(tmp_path, ["table", "--q", "2", "--n-max", "2", "--M", "2"])
     assert rc == 0

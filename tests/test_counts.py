@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import unitary_powers
 from unitary_powers import EnumerationBoundError, counts
+from unitary_powers._numth import divisors, euler_phi, mult_order
 from unitary_powers.counts import (
     CountInvariantError,
     CountRecord,
@@ -25,6 +26,7 @@ from unitary_powers.counts import (
     s_prime,
     s_tilde_prime,
 )
+from unitary_powers.genfun import Family, Kind, SeriesRequest
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
     PolyClass,
@@ -172,9 +174,31 @@ def test_count_mpower_pairs_even_degree_four_cell():
         assert count_mpower_pairs(2, 4, M) == brute // 2
 
 
-def test_count_mpower_pairs_respects_enumeration_bound():
+def walk_mpower_pairs(q, d, M):
+    """R~_M(q, d) by walking the element orders D | q^(2d) - 1: an order-D
+    element has degree d over F_q2 iff q^2 has order d mod D, its minimal
+    polynomial is self-conjugate iff D | q^(2j-1) + 1 for some 1 <= j <= d,
+    and it is an M-th power iff D | n / (M, n); phi(D) elements each."""
+    Q = q * q
+    n = Q**d - 1
+    total = 0
+    for D in divisors(n):
+        if mult_order(Q, D) != d:
+            continue
+        if any((q ** (2 * j - 1) + 1) % D == 0 for j in range(1, d + 1)):
+            continue
+        if (n // gcd(M, n)) % D == 0:
+            total += euler_phi(D)
+    assert total % (2 * d) == 0
+    return total // (2 * d)
+
+
+def test_pair_field_bound_refuses_count_rows_and_series():
     with pytest.raises(EnumerationBoundError):
-        count_mpower_pairs(3, 7, 2)
+        count_record(3, 7, 2)
+    with pytest.raises(EnumerationBoundError):
+        SeriesRequest(2, 3, 22, Family.SEPARABLE, Kind.CLASSES)
+    assert count_mpower_pairs(3, 7, 2) == walk_mpower_pairs(3, 7, 2)
 
 
 def test_leftover_counts():
@@ -285,3 +309,12 @@ def test_power_counts_are_bounded_by_the_totals(cell):
     if M == 1:
         assert (n_M, r_M) == (n, r)
 
+
+
+@settings(deadline=None)
+@given(count_cell())
+@example((2, 6, 3))
+@example((3, 5, 4))
+def test_mpower_pair_closed_form_equals_the_order_walk(cell):
+    q, d, M = cell
+    assert count_mpower_pairs(q, d, M) == walk_mpower_pairs(q, d, M)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitary_powers.counts import DEFAULT_ENUM_BOUND
+from unitary_powers.counts import PAIR_FIELD_BOUND
 from unitary_powers.genfun import (
     Family,
     Kind,
@@ -167,11 +167,11 @@ def test_centralizer_order_rejects_unsupported_shapes():
 
 @st.composite
 def class_series_cell(draw):
-    """(q, M, T): prime M coprime to q, and T <= 8 within the pair-count
-    enumeration bound (q^(2d) for pair degrees d <= T/2)."""
+    """(q, M, T): prime M coprime to q, and T <= 8 within the pair field
+    bound (q^(2d) for pair degrees d <= T/2)."""
     q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
     M = draw(st.sampled_from([p for p in (2, 3, 5, 7, 11, 13) if q % p]))
-    T_max = max(T for T in range(9) if q ** (2 * (T // 2)) <= DEFAULT_ENUM_BOUND)
+    T_max = max(T for T in range(9) if q ** (2 * (T // 2)) <= PAIR_FIELD_BOUND)
     return q, M, draw(st.integers(0, T_max))
 
 

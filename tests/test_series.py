@@ -3,17 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitary_powers.series import (
     Series,
-    add,
     binom_factor,
     euler_factor,
     group_order_GL,
     group_order_U,
-    mul,
     one,
-    zero,
 )
 
 
@@ -23,24 +22,24 @@ def coeffs(*values):
 
 def test_one_is_multiplicative_identity():
     s = Series(5, coeffs(1, 2, 3, 4, 5, 6))
-    assert mul(one(5), s) == s
-    assert mul(s, one(5)) == s
+    assert one(5) * s == s
+    assert s * one(5) == s
 
 
 def test_basic_ring_identities():
     T = 5
     a = Series(T, coeffs(1, 1, 0, 0, 0, 0))   # 1 + z
     b = Series(T, coeffs(1, -1, 0, 0, 0, 0))  # 1 - z
-    assert mul(a, b) == Series(T, coeffs(1, 0, -1, 0, 0, 0))
+    assert a * b == Series(T, coeffs(1, 0, -1, 0, 0, 0))
     s = Series(T, coeffs(0, 3, 0, Fraction(1, 7), 0, 2))
-    assert add(s, -s) == zero(T)
+    assert s + -s == Series(T, coeffs(0, 0, 0, 0, 0, 0))
 
 
 def test_truncation_mismatch_is_an_error():
     with pytest.raises(ValueError):
-        add(one(3), one(4))
+        one(3) + one(4)
     with pytest.raises(ValueError):
-        mul(one(3), one(4))
+        one(3) * one(4)
 
 
 def test_coeff_bounds():
@@ -62,7 +61,7 @@ def test_binom_factor_examples():
 def test_binom_factor_inverse_pairs(d, c, e):
     # (1 + c z^d)^e * (1 - (-c) z^d)^(-e) = 1 up to the truncation
     T = 8
-    assert mul(binom_factor(d, c, e, T), binom_factor(d, -c, -e, T)) == one(T)
+    assert binom_factor(d, c, e, T) * binom_factor(d, -c, -e, T) == one(T)
 
 
 def test_euler_factor_with_unitary_orders():
@@ -113,3 +112,37 @@ def test_series_coefficients_are_exact_fractions():
     assert all(isinstance(c, Fraction) for c in s.coeffs)
     t = binom_factor(1, Fraction(1, 3), 3, 6)
     assert all(isinstance(c, Fraction) for c in (s * t).coeffs)
+
+
+@st.composite
+def power_case(draw):
+    """(F, e): a random series whose constant term is 0, 1 or another nonzero
+    rational, and an exponent 0..8."""
+    T = draw(st.integers(0, 7))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    f0 = draw(st.sampled_from((Fraction(0), Fraction(1), None)))
+    if f0 is None:
+        f0 = draw(rationals.filter(lambda c: c not in (0, 1)))
+    tail = draw(st.lists(rationals, min_size=T, max_size=T))
+    return Series(T, (f0, *tail)), draw(st.integers(0, 8))
+
+
+@settings(deadline=None)
+@given(power_case())
+def test_power_is_repeated_multiplication(case):
+    F, e = case
+    product = one(F.truncation)
+    for _ in range(e):
+        product = product * F
+    assert F**e == product
+    if F.coeff(0):
+        assert F**e * F ** (-e) == one(F.truncation)
+
+
+def test_negative_power_needs_a_nonzero_constant_term():
+    F = Series(3, coeffs(0, 1, 2, 0))
+    with pytest.raises(ValueError):
+        F ** (-1)
+    with pytest.raises(ValueError):
+        Series(3, coeffs(0, 0, 0, 0)) ** (-2)
+    assert F**2 == Series(3, coeffs(0, 0, 1, 4))
