@@ -83,7 +83,6 @@ from .oracle import (
     gl_class_data,
     group_table,
     hermitian_form,
-    power_image,
     power_image_counts,
 )
 

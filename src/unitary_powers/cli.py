@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, counts, genfun, oracle
 from ._numth import EnumerationBoundError
@@ -31,7 +32,7 @@ from .oracle import OracleInvariantError
 from .polyalg import FactorisationError
 from .series import group_order_U
 
-__all__ = ["RunConfig", "run_counts", "run_series", "run_verify", "run_table", "main"]
+__all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 
 VERIFY_ORDER_BOUND = 100_000
 
@@ -55,20 +56,6 @@ class UsageError(Exception):
 
 
 @dataclass
-class RunConfig:
-    command: str
-    q: int = 0
-    M: int = 2
-    T: int = 12
-    n_max: int = 2
-    d_max: int = 4
-    families: tuple[Family, ...] = ()
-    kind: Kind | None = None
-    format: str = "csv"
-    out: str | None = None
-
-
-@dataclass
 class Report:
     meta: dict
     columns: tuple[str, ...]
@@ -76,11 +63,11 @@ class Report:
     failed: bool = False
 
 
-def _meta(cfg: RunConfig, **extra) -> dict:
+def _meta(args: argparse.Namespace, **extra) -> dict:
     meta = {
-        "q": cfg.q,
-        "M": cfg.M,
-        "T": cfg.T,
+        "q": args.q,
+        "M": args.M,
+        "T": args.T,
         "family": extra.pop("family", None),
         "kind": extra.pop("kind", None),
         "version": __version__,
@@ -89,30 +76,27 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def run_counts(cfg: RunConfig) -> Report:
+def run_counts(args: argparse.Namespace) -> Report:
     rows = []
-    for d in range(1, cfg.d_max + 1):
-        rec = counts.count_record(cfg.q, d, cfg.M)
+    for d in range(1, args.d_max + 1):
+        rec = counts.count_record(args.q, d, args.M)
         rows.append({
             "q": rec.q, "d": rec.d, "M": rec.M,
             "N_tilde": rec.n_tilde, "N_tilde_M": rec.n_tilde_M,
             "R_tilde": rec.r_tilde, "R_tilde_M": rec.r_tilde_M,
             "S_tilde_prime": rec.s_tilde_prime, "S_prime": rec.s_prime,
         })
-    return Report(_meta(cfg, d_max=cfg.d_max), _COUNT_COLUMNS, rows)
+    return Report(_meta(args, d_max=args.d_max), _COUNT_COLUMNS, rows)
 
 
-def run_series(cfg: RunConfig) -> Report:
-    if len(cfg.families) != 1 or cfg.kind is None:
-        raise UsageError("series needs exactly one --family and a --kind")
-    family = cfg.families[0]
-    request = genfun.SeriesRequest(cfg.q, cfg.M, cfg.T, family, cfg.kind)
+def run_series(args: argparse.Namespace) -> Report:
+    request = genfun.SeriesRequest(args.q, args.M, args.T, args.family, args.kind)
     s = genfun.series_for(request)
     rows = [
         {"n": n, "coefficient": str(s.coeff(n)), "decimal": repr(float(s.coeff(n)))}
-        for n in range(cfg.T + 1)
+        for n in range(args.T + 1)
     ]
-    return Report(_meta(cfg, family=family.value, kind=cfg.kind.value), _SERIES_COLUMNS, rows)
+    return Report(_meta(args, family=args.family.value, kind=args.kind.value), _SERIES_COLUMNS, rows)
 
 
 def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, order: int) -> Fraction:
@@ -122,60 +106,58 @@ def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, ord
     return Fraction(pic.elements[tag], order)
 
 
-def _check_oracle_range(q: int, n_max: int):
+def _oracle_pass(q: int, M: int, n_max: int):
+    """(G, power_image_counts(G, M)) for G = U(n, q), n = 1..n_max, the one
+    power-map pass of `verify` and `table`.  The order bound is checked at
+    once; each group is built, or taken from the cache, when iterated."""
     for n in range(1, n_max + 1):
         order = group_order_U(n, q)
         if order > VERIFY_ORDER_BOUND:
             raise EnumerationBoundError(
                 f"U({n},{q}) has order {order}, beyond the oracle bound {VERIFY_ORDER_BOUND}"
             )
+    groups = (oracle.group_table(n, q) for n in range(1, n_max + 1))
+    return ((G, oracle.power_image_counts(G, M)) for G in groups)
 
 
-def run_verify(cfg: RunConfig) -> Report:
-    families = cfg.families or genfun.applicable_families(cfg.q, cfg.M)
-    kinds = (cfg.kind,) if cfg.kind else (Kind.CLASSES, Kind.ELEMENTS)
-    _check_oracle_range(cfg.q, cfg.n_max)
-    T = cfg.n_max
-    built = {}
-    for family in families:
-        for kind in kinds:
-            request = genfun.SeriesRequest(cfg.q, cfg.M, T, family, kind)
-            built[(family, kind)] = genfun.series_for(request)
+def run_verify(args: argparse.Namespace) -> Report:
+    # a repeated --family counts once, in the order given
+    families = (tuple(dict.fromkeys(args.family)) if args.family
+                else genfun.applicable_families(args.q, args.M))
+    kinds = (args.kind,) if args.kind else (Kind.CLASSES, Kind.ELEMENTS)
+    passes = _oracle_pass(args.q, args.M, args.n_max)  # order bound before any series
+    built = [
+        (family, kind, genfun.series_for(
+            genfun.SeriesRequest(args.q, args.M, args.n_max, family, kind)))
+        for family in families for kind in kinds
+    ]
     rows = []
     failed = False
-    for n in range(1, cfg.n_max + 1):
-        order = group_order_U(n, cfg.q)
-        G = oracle.group_table(n, cfg.q)
-        pic = oracle.power_image_counts(G, cfg.M)
-        for family in families:
-            for kind in kinds:
-                expected = built[(family, kind)].coeff(n)
-                actual = _oracle_counts(pic, family, kind, order)
-                ok = expected == actual
-                failed = failed or not ok
-                rows.append({
-                    "n": n, "family": family.value, "kind": kind.value,
-                    "expected": str(expected), "actual": str(actual),
-                    "status": "PASS" if ok else "FAIL",
-                })
-    return Report(_meta(cfg, n_max=cfg.n_max), _VERIFY_COLUMNS, rows, failed=failed)
+    for G, pic in passes:
+        for family, kind, s in built:
+            expected = s.coeff(G.n)
+            actual = _oracle_counts(pic, family, kind, G.order)
+            ok = expected == actual
+            failed = failed or not ok
+            rows.append({
+                "n": G.n, "family": family.value, "kind": kind.value,
+                "expected": str(expected), "actual": str(actual),
+                "status": "PASS" if ok else "FAIL",
+            })
+    return Report(_meta(args, n_max=args.n_max), _VERIFY_COLUMNS, rows, failed=failed)
 
 
-def run_table(cfg: RunConfig) -> Report:
-    _check_oracle_range(cfg.q, cfg.n_max)
+def run_table(args: argparse.Namespace) -> Report:
     rows = []
-    for n in range(1, cfg.n_max + 1):
-        G = oracle.group_table(n, cfg.q)
-        image = oracle.power_image(G, cfg.M) if cfg.M > 1 else None
-        for idx, c in enumerate(G.classes):
-            row = {
-                "n": n, "class_index": idx, "size": c.size,
+    for G, pic in _oracle_pass(args.q, args.M, args.n_max):
+        for idx, (c, inside) in enumerate(zip(G.classes, pic.in_image)):
+            rows.append({
+                "n": G.n, "class_index": idx, "size": c.size,
                 "separable": c.kind.separable, "cyclic": c.kind.cyclic,
                 "semisimple": c.kind.semisimple, "datum": str(c.datum),
-                "is_m_power": (c.rep.codes in image) if image is not None else "",
-            }
-            rows.append(row)
-    return Report(_meta(cfg, n_max=cfg.n_max), _TABLE_COLUMNS, rows)
+                "is_m_power": inside if args.M > 1 else "",
+            })
+    return Report(_meta(args, n_max=args.n_max), _TABLE_COLUMNS, rows)
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +181,10 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _emit(report: Report, cfg: RunConfig):
-    text = _render(report, cfg.format)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(report: Report, args: argparse.Namespace):
+    text = _render(report, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -213,81 +195,65 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_from(low: int):
+    """An argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return int(text)
+    return parse
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each subcommand's runner is its
+    `run` default.  T = 12 is set at the top, for every report's meta."""
     parser = _Parser(prog="unitary-powers", description=__doc__)
+    parser.set_defaults(T=12)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, with_M=True):
-        p.add_argument("--q", type=int, required=True, help="prime power q")
+    def common(name, run, help, *, with_M=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--q", type=_int_from(2), required=True, help="prime power q")
         if with_M:
-            p.add_argument("--M", type=int, required=True, help="power-map exponent M >= 2")
+            p.add_argument("--M", type=_int_from(2), required=True,
+                           help="power-map exponent M >= 2")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("counts", help="count-table rows for d = 1..d_max")
-    common(p)
+    families = [f.value for f in Family]
+    kinds = [k.value for k in Kind]
+
+    p = common("counts", run_counts, "count-table rows for d = 1..d_max")
     p.add_argument("--d-max", type=int, default=4)
 
-    p = sub.add_parser("series", help="coefficients of one generating function")
-    common(p)
-    p.add_argument("--T", type=int, default=12, help="truncation order")
-    p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--kind", choices=[k.value for k in Kind], required=True)
+    p = common("series", run_series, "coefficients of one generating function")
+    p.add_argument("--T", type=int, default=argparse.SUPPRESS, help="truncation order")
+    p.add_argument("--family", type=Family, choices=families, required=True)
+    p.add_argument("--kind", type=Kind, choices=kinds, required=True)
 
-    p = sub.add_parser("verify", help="series vs oracle, exit 2 on mismatch")
-    common(p)
+    p = common("verify", run_verify, "series vs oracle, exit 2 on mismatch")
     p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--family", choices=[f.value for f in Family], action="append",
+    p.add_argument("--family", type=Family, choices=families, action="append",
                    help="repeatable; default: all families valid for (q, M)")
-    p.add_argument("--kind", choices=[k.value for k in Kind], default=None)
+    p.add_argument("--kind", type=Kind, choices=kinds, default=None)
 
-    p = sub.add_parser("table", help="conjugacy-class table of the oracle groups")
-    common(p, with_M=False)
-    p.add_argument("--M", type=int, default=1,
+    p = common("table", run_table, "conjugacy-class table of the oracle groups",
+               with_M=False)
+    p.add_argument("--M", type=_int_from(1), default=1,
                    help="optionally mark classes in the M-th power image")
     p.add_argument("--n-max", type=int, default=2)
 
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    families: tuple[Family, ...] = ()
-    raw = getattr(args, "family", None)
-    if raw:
-        names = raw if isinstance(raw, list) else [raw]
-        families = tuple(Family(name) for name in names)
-    kind = Kind(args.kind) if getattr(args, "kind", None) else None
-    cfg = RunConfig(
-        command=args.command,
-        q=args.q,
-        M=getattr(args, "M", 1),
-        T=getattr(args, "T", 12),
-        n_max=getattr(args, "n_max", 2),
-        d_max=getattr(args, "d_max", 4),
-        families=families,
-        kind=kind,
-        format=args.format,
-        out=args.out,
-    )
-    if cfg.command != "table" and cfg.M < 2:
-        raise UsageError("M must be an integer >= 2")
-    if cfg.q < 2:
-        raise UsageError("q must be a prime power >= 2")
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _config_from(args)
-        runner = {
-            "counts": run_counts,
-            "series": run_series,
-            "verify": run_verify,
-            "table": run_table,
-        }[cfg.command]
-        report = runner(cfg)
-        _emit(report, cfg)
+        report = args.run(args)
+        _emit(report, args)
         return 2 if report.failed else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,8 +37,9 @@ smaller than Wall's class size.  (Comparing every orbit with the full fibre
 of its datum, `datum_of` on every element, is kept as a test-side
 reference.)
 
-`power_image_counts` pushes the whole group through g -> g^M and tabulates
-elements and classes of the image per matrix family.  `check_block_power`
+`power_image_counts` pushes the whole group through g -> g^M, checks that
+the image is a union of classes (each hit by all its members or by none)
+and tabulates it per matrix family and per class.  `check_block_power`
 verifies that powering a cyclic block U(f, m) lands on the cyclic block of
 the powered companion polynomial, whenever that companion exists.
 """
@@ -73,7 +74,6 @@ __all__ = [
     "datum_of",
     "gl_class_data",
     "char_poly",
-    "power_image",
     "power_image_counts",
     "PowerImageCounts",
     "companion",
@@ -718,48 +718,42 @@ _FAMILIES = ("all", "separable", "cyclic", "semisimple")
 
 @dataclass(frozen=True)
 class PowerImageCounts:
-    """Element and class counts of {g^M : g in G}, per matrix family."""
+    """Element and class counts of {g^M : g in G}, per matrix family, and
+    whether each of `G.classes` lies in it."""
 
     n: int
     q: int
     M: int
     elements: dict = field(compare=False)
     classes: dict = field(compare=False)
-
-
-def power_image(G: GroupTable, M: int) -> set:
-    """Codes of the image {g^M : g in G}."""
-    return {(A**M).codes for A in G.elements}
+    in_image: tuple = field(compare=False)
 
 
 def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:
     """Tabulate the image of g -> g^M by family (M = 1 tabulates all of G).
 
-    The image is a union of conjugacy classes, so classes are counted through
-    their representatives; this is checked member by member.
+    Raises `OracleInvariantError` unless the image is a union of classes:
+    each class hit by all of its members or by none, and nothing else hit.
     """
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
-    image = power_image(G, M)
+    image = {(A**M).codes for A in G.elements}
     elements = dict.fromkeys(_FAMILIES, 0)
     classes = dict.fromkeys(_FAMILIES, 0)
+    in_image = []
     for c in G.classes:
-        inside = c.rep.codes in image
-        if inside != c.member_codes.issubset(image):
+        inside = not image.isdisjoint(c.member_codes)
+        if inside and not image.issuperset(c.member_codes):
             raise OracleInvariantError("the power image must be a union of classes")
-        if not inside:
-            continue
-        tags = ["all"]
-        if c.kind.separable:
-            tags.append("separable")
-        if c.kind.cyclic:
-            tags.append("cyclic")
-        if c.kind.semisimple:
-            tags.append("semisimple")
-        for tag in tags:
-            elements[tag] += c.size
-            classes[tag] += 1
-    return PowerImageCounts(G.n, G.q, M, elements, classes)
+        in_image.append(inside)
+        if inside:
+            for tag in _FAMILIES:
+                if tag == "all" or getattr(c.kind, tag):
+                    elements[tag] += c.size
+                    classes[tag] += 1
+    if elements["all"] != len(image):
+        raise OracleInvariantError("the power image must lie in the group")
+    return PowerImageCounts(G.n, G.q, M, elements, classes, tuple(in_image))
 
 
 # ----------------------------------------------------------------------

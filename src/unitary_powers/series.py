@@ -94,7 +94,10 @@ class Series:
             terms = [(j, c) for j, c in enumerate(h[1 : T + 1 - shift], 1) if c]
             g = [h[0] ** e]
             for k in range(1, T + 1 - shift):
-                acc = sum(((e + 1) * j - k) * c * g[k - j] for j, c in terms if j <= k)
+                # terms with g_(k-j) = 0 add nothing (for a factor in z^D, g
+                # vanishes off the multiples of D), so they are not formed
+                acc = sum(((e + 1) * j - k) * c * g[k - j]
+                          for j, c in terms if j <= k and g[k - j])
                 g.append(acc / (k * h[0]))
             out[shift:] = g
         return Series(T, tuple(out))

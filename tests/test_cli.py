@@ -2,7 +2,10 @@
 
 import csv
 import json
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from unitary_powers import counts, gf, oracle, polyalg
 from unitary_powers.cli import main
@@ -160,6 +163,74 @@ def test_table_command(tmp_path):
     assert sum(sizes) == 18
     _, again = run(tmp_path, ["table", "--q", "2", "--n-max", "2", "--M", "2"], "c.txt")
     assert text == again
+    rc, text = run(tmp_path, ["table", "--q", "2", "--n-max", "2"], "d.txt")
+    assert rc == 0 and {row["is_m_power"] for row in parse_csv(text)} == {""}
+
+
+@pytest.mark.parametrize("M", ["0", "-3"])
+def test_table_refuses_M_below_one_before_building(monkeypatch, M):
+    def no_group(n, q):
+        raise AssertionError("no group may be built for a refused M")
+
+    monkeypatch.setattr(oracle, "group_table", no_group)
+    assert main(["table", "--q", "2", "--n-max", "2", "--M", M]) == 1
+
+
+def test_repeated_family_counts_once_in_the_given_order(tmp_path):
+    args = ["verify", "--q", "2", "--M", "3", "--n-max", "2"]
+    rc, text = run(tmp_path, args + ["--family", "ss", "--family", "sep", "--family", "ss"])
+    assert rc == 0
+    _, expected = run(tmp_path, args + ["--family", "ss", "--family", "sep"], "b.txt")
+    assert text == expected
+    assert [row["family"] for row in parse_csv(text)] == ["ss", "ss", "sep", "sep"] * 2
+
+
+@pytest.mark.parametrize("q,M,n_max", [(2, 3, 2), (3, 2, 2)])
+def test_table_marks_agree_with_verify_class_counts(tmp_path, q, M, n_max):
+    common = ["--q", str(q), "--M", str(M), "--n-max", str(n_max)]
+    rc, text = run(tmp_path, ["table", *common])
+    assert rc == 0
+    marked = Counter()
+    for row in parse_csv(text):
+        if row["is_m_power"] == "True":
+            for family, column in (("sep", "separable"), ("cyc", "cyclic"), ("ss", "semisimple")):
+                if row[column] == "True":
+                    marked[(row["n"], family)] += 1
+    rc, text = run(tmp_path, ["verify", *common, "--kind", "classes"], "v.txt")
+    assert rc == 0
+    rows = parse_csv(text)
+    assert rows
+    for row in rows:
+        assert int(row["actual"]) == marked[(row["n"], row["family"])]
+
+
+def _cube_moved_outside_the_image(monkeypatch, onto_rep):
+    """Patch the power map so that the last element of U(2,2) cubes onto a
+    class outside the cube image: onto its representative, or onto another
+    of its members.  Either way one class is hit by part of its members."""
+    G = oracle.group_table(2, 2)
+    real = oracle.MatrixRep.__pow__
+    cubes = {real(A, 3).codes for A in G.elements}
+    c = next(c for c in G.classes if c.size > 1 and c.rep.codes not in cubes)
+    target = c.rep.codes if onto_rep else min(c.member_codes - {c.rep.codes})
+    last = G.elements[-1]
+
+    def power(A, e):
+        if e == 3 and A == last:
+            return oracle.MatrixRep(A.desc, A.n, target)
+        return real(A, e)
+
+    monkeypatch.setattr(oracle.MatrixRep, "__pow__", power)
+
+
+@pytest.mark.parametrize("onto_rep", [True, False], ids=["rep", "member"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--q", "2", "--M", "3", "--n-max", "2"],
+    ["table", "--q", "2", "--n-max", "2", "--M", "3"],
+], ids=["verify", "table"])
+def test_power_map_that_splits_a_class_exits_four(monkeypatch, tmp_path, command, onto_rep):
+    _cube_moved_outside_the_image(monkeypatch, onto_rep)
+    assert main(command + ["--out", str(tmp_path / "x.txt")]) == 4
 
 
 # Internal invariant failures exit 4, one injected failure per layer.  The

@@ -478,6 +478,19 @@ def test_power_image_counts_u22_frozen_goldens():
     pic = power_image_counts(G, 3)
     assert pic.classes == {"all": 2, "separable": 0, "cyclic": 1, "semisimple": 1}
     assert pic.elements == {"all": 4, "separable": 0, "cyclic": 3, "semisimple": 1}
+    cubes = {(A**3).codes for A in G.elements}
+    assert pic.in_image == tuple(c.rep.codes in cubes for c in G.classes)
+
+
+def test_power_image_outside_the_group_raises(monkeypatch):
+    # the last element's cube becomes the zero matrix, which lies in no class
+    G = group_table(2, 2)
+    real, last = MatrixRep.__pow__, G.elements[-1]
+    zero = MatrixRep(G.desc, 2, (0,) * 4)
+    monkeypatch.setattr(MatrixRep, "__pow__",
+                        lambda A, e: zero if A == last else real(A, e))
+    with pytest.raises(OracleInvariantError, match="lie in the group"):
+        power_image_counts(G, 3)
 
 
 def test_coprime_power_map_is_a_bijection():
