@@ -11,7 +11,22 @@ are the coordinates over F_p, constant coordinate first.  Every field that
 discrete-log tables when it is constructed, and all arithmetic runs on them:
 multiplication adds logarithms, addition is XOR in characteristic 2 and uses
 Zech logarithms otherwise.  Polynomial arithmetic modulo m only finds the
-modulus and bootstraps the tables.
+modulus and the generator g; the powers of g are then walked through the
+precomputed columns g * x^i mod m of the F_p-linear map a -> g a.
+
+The tables are public, for kernels that inline the arithmetic (the
+polynomial kernels of `polyalg`).  With Q = q^2 and n = Q - 1:
+
+  * `log_table[a]` is the discrete log of a nonzero code a, in [0, n);
+    `log_table[0]` is -1.
+  * `exp_table[i]` is g^i, over two periods (length 2n), so the sum of two
+    logs indexes it without reduction.
+  * `zech_table[t]` is log(1 + g^t), or -1 where 1 + g^t = 0; it also runs
+    over two periods, so a difference t in (-n, 2n) of logs indexes it
+    directly (negative t through Python's negative indices).  Then
+    g^a + g^b = g^(a + zech_table[b - a]), or 0 where that entry is -1.
+    It is None in characteristic 2, where addition is XOR; for odd p,
+    -1 = g^(n / 2).
 
 The conjugation a -> a^q is the involution of F_q2 with fixed field F_q.  The
 norm-one circle {a : a^(q + 1) = 1} is U(1, q), a cyclic group of q + 1
@@ -27,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from ._numth import EnumerationBoundError, is_prime, prime_factors
 
@@ -167,8 +183,10 @@ class FieldDesc:
     """Concrete model of F_q2 as F_p[x]/(modulus), elements as int codes.
 
     All arithmetic is exposed at code level (`add_c`, `mul_c`, ...) so hot
-    loops can bind the methods locally; `FieldElem` wraps a code for the
-    value-level API.
+    loops can bind the methods locally, and the tables behind it are public
+    (`log_table`, `exp_table`, `zech_table`; layout in the module docstring)
+    for kernels that inline it; `FieldElem` wraps a code for the value-level
+    API.
     """
 
     def __init__(self, base: PrimePower):
@@ -240,13 +258,12 @@ class FieldDesc:
     # -- discrete-log tables ----------------------------------------------
 
     def _ensure_tables(self):
-        """Build the discrete-log tables from the modulus; a second call
-        builds them again, with every check.
+        """Build the discrete-log tables from the modulus (layout in the
+        module docstring); a second call builds them again, with every check.
 
-        `_exp` runs over two periods, so a sum of two logarithms indexes it
-        without reduction; `_zech[t]` is log(1 + g^t), or -1 where
-        1 + g^t = 0, and a negative difference of logarithms indexes it
-        modulo q^2 - 1 through Python's negative indices.
+        Multiplying by the generator is the F_p-linear map whose columns are
+        gen * x^i mod m, so no step of the power walk reduces a polynomial:
+        a step costs degree^2 small products.
         """
         n = self.order - 1
         gen = None
@@ -259,25 +276,32 @@ class FieldDesc:
                 f"no primitive element modulo {self.modulus}; the multiplicative "
                 "group of a finite field is cyclic"
             )
-        exp = [0] * n
-        log = [-1] * self.order
-        v = 1
+        p, degree = self.p, self.degree
+        columns = [self._mul_raw(gen, p**i) for i in range(degree)]  # gen * x^i
+        v, exp, log = 1, [0] * n, [-1] * self.order
+        # rows[k][i]: coordinate k of gen * x^i
+        rows = list(zip(*map(self.coords_of, columns)))
+        place = [p**i for i in range(degree)]
+        coords = [1] + [0] * (degree - 1)
         for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, gen)
+            exp[i], log[v] = v, i
+            coords = [sum(map(mul, coords, row)) % p for row in rows]
+            v = sum(map(mul, coords, place))
         if v != 1:
             raise FieldInvariantError(
                 f"the powers of the primitive element {gen} modulo {self.modulus} "
                 f"do not return to 1 after {n} steps"
             )
-        self._log = log
-        if self.p > 2:
-            # log[0] = -1 marks 1 + g^t = 0; -1 = g^((q^2 - 1) / 2)
-            self._zech = [log[self._incr_const(v)] for v in exp]
-            self._neg = [0] + [exp[(i + n // 2) % n] for i in log[1:]]
-        self._conjtab = [0] + [exp[i * self.q % n] for i in log[1:]]
-        self._exp = exp + exp
+        self.log_table, self.zech_table = log, None
+        if p > 2:
+            self._neg = [exp[(i + n // 2) % n] for i in log]  # -1 = g^(n / 2)
+            self._neg[0] = 0
+            self.zech_table = [log[self._incr_const(v)] for v in exp]
+            self.zech_table *= 2
+        self._conjtab = [exp[i * self.q % n] for i in log]
+        self._conjtab[0] = 0
+        exp *= 2
+        self.exp_table = exp
 
     def _incr_const(self, code: int) -> int:
         c0 = code % self.p
@@ -292,9 +316,9 @@ class FieldDesc:
             return b
         if b == 0:
             return a
-        la = self._log[a]
-        t = self._zech[self._log[b] - la]
-        return self._exp[la + t] if t >= 0 else 0
+        la = self.log_table[a]
+        t = self.zech_table[self.log_table[b] - la]
+        return self.exp_table[la + t] if t >= 0 else 0
 
     def neg_c(self, a: int) -> int:
         return a if self.p == 2 else self._neg[a]
@@ -305,19 +329,19 @@ class FieldDesc:
     def mul_c(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.exp_table[self.log_table[a] + self.log_table[b]]
 
     def inv_c(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[self.order - 1 - self._log[a]]
+        return self.exp_table[self.order - 1 - self.log_table[a]]
 
     def pow_c(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.order - 1)]
+        return self.exp_table[self.log_table[a] * e % (self.order - 1)]
 
     def conj_c(self, a: int) -> int:
         return self._conjtab[a]

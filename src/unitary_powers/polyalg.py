@@ -19,6 +19,15 @@ degree d (equivalently, the companion matrix of f has an M-th root in
 GL(d, q^2)).  `butler_pattern` predicts the full factor-degree multiset of
 f(x^m) from the multiplicative order of the roots of f.
 
+Products and divisions of `Poly` read the field's log tables (`gf`): the
+logs of one operand's nonzero coefficients are taken once, each term costs
+one `exp_table` lookup, and terms are summed by XOR in characteristic 2 and
+by an inline Zech step otherwise.
+
+`irreducible_polys` is a product sieve, so its output is irreducible by
+construction; it is of a private `Poly` subclass, for which `classify` skips
+the Rabin test.  Every other polynomial gets the full test.
+
 Factorisation is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting with random splitters (Cantor &
 Zassenhaus 1981; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
@@ -161,17 +170,28 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.codes, other.codes
+        a, b, desc = self.codes, other.codes, self.desc
         if not a or not b:
-            return _poly(self.desc, [])
-        add, mul = self.desc.add_c, self.desc.mul_c
+            return _poly(desc, [])
+        log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
+        terms = [(j, log[c]) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return _poly(self.desc, out)
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            la = log[c]
+            if zech is None:
+                for j, lb in terms:
+                    out[i + j] ^= exp[la + lb]
+                continue
+            for j, lb in terms:  # out[i + j] += g^(la + lb)
+                o = out[i + j]
+                if o:
+                    t = zech[la + lb - log[o]]  # g^lo + g^l = g^(lo + zech[l - lo])
+                    out[i + j] = exp[log[o] + t] if t >= 0 else 0
+                else:
+                    out[i + j] = exp[la + lb]
+        return _poly(desc, out)
 
     def scale(self, code: int) -> "Poly":
         mul = self.desc.mul_c
@@ -180,21 +200,31 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        desc = self.desc
-        rem = list(self.codes)
-        db = other.degree
-        inv_lb = desc.inv_c(other.codes[-1])
+        desc, rem, b = self.desc, list(self.codes), other.codes
+        db, n = len(b) - 1, desc.order - 1
+        log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
+        lead = log[b[-1]]
+        neg = 0 if zech is None else n // 2  # -1 = g^neg
+        # logs of -b_j below the lead; rem[i] is not read after its step
+        terms = [(j, (log[c] + neg) % n) for j, c in enumerate(b[:db]) if c]
         quot = [0] * max(len(rem) - db, 0)
-        add, mul, neg = desc.add_c, desc.mul_c, desc.neg_c
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                f = mul(c, inv_lb)
-                quot[i - db] = f
-                minus_f = neg(f)  # rem -= f * t^(i-db) * other, as one add per term
-                for j, bj in enumerate(other.codes):
-                    if bj:
-                        rem[i - db + j] = add(rem[i - db + j], mul(minus_f, bj))
+            if not rem[i]:
+                continue
+            lf = (log[rem[i]] - lead) % n
+            s = i - db
+            quot[s] = exp[lf]
+            if zech is None:
+                for j, lb in terms:
+                    rem[s + j] ^= exp[lf + lb]
+                continue
+            for j, lb in terms:  # rem[s + j] -= g^lf * b_j
+                o = rem[s + j]
+                if o:
+                    t = zech[lf + lb - log[o]]
+                    rem[s + j] = exp[log[o] + t] if t >= 0 else 0
+                else:
+                    rem[s + j] = exp[lf + lb]
         return _poly(desc, quot), _poly(desc, rem[:db])
 
     def __floordiv__(self, other):
@@ -258,13 +288,13 @@ class Poly:
         return f"Poly(GF({self.desc.order}): {self})"
 
 
-def _poly(desc: FieldDesc, codes: list) -> Poly:
+def _poly(desc: FieldDesc, codes: list, cls=Poly) -> Poly:
     """Internal constructor for ring operations whose codes lie in [0, Q) by
     construction: trims trailing zeros of `codes` (in place) and skips the
     per-coefficient validation of `Poly.__init__`."""
     while codes and codes[-1] == 0:
         codes.pop()
-    f = object.__new__(Poly)
+    f = object.__new__(cls)
     f.desc = desc
     f.codes = tuple(codes)
     return f
@@ -286,8 +316,9 @@ def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
     while e:
         if e & 1:
             result = (result * base) % modulus
-        base = (base * base) % modulus
         e >>= 1
+        if e:
+            base = (base * base) % modulus
     return result
 
 
@@ -302,24 +333,37 @@ def monic_polys(desc: FieldDesc, degree: int):
         yield Poly(desc, tail + (1,))
 
 
+class _Sieved(Poly):
+    """A monic irreducible listed by `irreducible_polys`; `classify` trusts
+    the sieve and skips the Rabin test for it."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=256)
 def irreducible_polys(desc: FieldDesc, degree: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of the given degree (includes t in degree 1).
+    """All monic irreducibles of the given degree (includes t in degree 1),
+    in the order of `monic_polys`.
 
-    Sieved by trial division against the cached irreducibles of degree at
-    most degree/2; deterministic order.  The 256 most recently used
-    (field, degree) lists are kept.
+    Every product g*h, g a cached irreducible of degree e <= degree/2 and h
+    monic of degree degree - e, is struck from a bytearray indexed like
+    `monic_polys` (c0 the most significant base-Q digit).  The 256 most
+    recently used (field, degree) lists are kept.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    if degree == 1:
-        return tuple(monic_polys(desc, 1))
-    smalls = [g for e in range(1, degree // 2 + 1) for g in irreducible_polys(desc, e)]
-    out = []
-    for f in monic_polys(desc, degree):
-        if all((f % g).codes for g in smalls):
-            out.append(f)
-    return tuple(out)
+    Q = desc.order
+    keep = bytearray(b"\x01") * Q**degree
+    for e in range(1, degree // 2 + 1):
+        hs = [_poly(desc, [*tail, 1]) for tail in itertools.product(range(Q), repeat=degree - e)]
+        for g in irreducible_polys(desc, e):
+            for h in hs:
+                k = 0
+                for c in (g * h).codes[:degree]:
+                    k = k * Q + c
+                keep[k] = 0
+    tails = itertools.compress(itertools.product(range(Q), repeat=degree), keep)
+    return tuple(_poly(desc, [*tail, 1], _Sieved) for tail in tails)
 
 
 # ----------------------------------------------------------------------
@@ -360,14 +404,15 @@ def is_irreducible(f: Poly) -> bool:
 @lru_cache(maxsize=4096)
 def classify(f: Poly) -> PolyClass:
     """Class of monic f; memoised (bounded), since the power tests classify
-    again a polynomial their caller has just classified."""
+    again a polynomial their caller has just classified.  Polynomials from
+    `irreducible_polys` skip the Rabin test."""
     if f.degree < 1:
         raise ValueError("classification is about polynomials of degree >= 1")
     if not f.is_monic():
         raise ValueError("classification requires a monic polynomial")
     if f == Poly.t(f.desc):
         return PolyClass.LINEAR_T
-    if not is_irreducible(f):
+    if type(f) is not _Sieved and not is_irreducible(f):
         return PolyClass.REDUCIBLE
     return PolyClass.SCIM if tilde(f) == f else PolyClass.PAIR_MEMBER
 

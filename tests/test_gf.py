@@ -227,3 +227,38 @@ def test_tables_match_polynomial_arithmetic_on_f_257_squared():
         inv = desc._pow_raw(a, n - 1)
         assert desc.inv_c(a) == inv
         assert desc.pow_c(a, e) == (desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e))
+
+
+@pytest.mark.parametrize(
+    "desc", SMALL_FIELDS + [make_field(257, 1, 1)], ids=lambda d: f"GF{d.order}"
+)
+def test_power_walk_matches_polynomial_powers(desc):
+    # the power walk builds exp_table; each sampled entry is the
+    # generator's power computed by polynomial arithmetic modulo m
+    n = desc.order - 1
+    exp, log = desc.exp_table, desc.log_table
+    gen = exp[1]
+    rng = random.Random(desc.order)
+    for i in sorted({0, 1, 2, n - 1, *(rng.randrange(n) for _ in range(60))}):
+        assert exp[i] == exp[i + n] == desc._pow_raw(gen, i)
+        assert log[exp[i]] == i
+    assert len(exp) == 2 * n and log[0] == -1
+    assert sorted(exp[:n]) == list(range(1, desc.order))
+
+
+@pytest.mark.parametrize("desc", [F9, F25, make_field(257, 1, 1)], ids=lambda d: f"GF{d.order}")
+def test_zech_table_over_two_periods(desc):
+    # zech[t] = log(1 + g^t), -1 where that sum is 0, for t in (-n, 2n);
+    # 1 + a is computed on coordinates, not by the tables under test
+    n = desc.order - 1
+    exp, zech = desc.exp_table, desc.zech_table
+    assert len(zech) == 2 * n
+    rng = random.Random(desc.order)
+    samples = {-n + 1, -1, 0, n // 2, n - 1, n, 2 * n - 1}
+    for t in samples | {rng.randrange(-n + 1, 2 * n) for _ in range(60)}:
+        s = desc.code_of(c + (i == 0) for i, c in enumerate(desc.coords_of(exp[t % n])))
+        assert (zech[t] == -1) if s == 0 else (exp[zech[t]] == s)
+
+
+def test_characteristic_two_has_no_zech_table():
+    assert F4.zech_table is None and F64.zech_table is None

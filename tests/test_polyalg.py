@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import unitary_powers
 from unitary_powers import polyalg
+from unitary_powers.counts import count_irreducible
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
     FactorisationError,
@@ -126,6 +127,116 @@ def test_factor_and_sieve_caches_are_bounded():
     sieve_max = irreducible_polys.cache_info().maxsize
     assert factor_max is not None and factor_max >= 1024
     assert sieve_max is not None and sieve_max >= 64
+
+
+# the product sieve: the nine cells of the `enumerate` benchmark workload,
+# then F_16 and F_25 up to degree 3
+SIEVE_CELLS = (
+    [(F4, d) for d in range(1, 7)] + [(F9, d) for d in range(1, 4)]
+    + [(make_field(2, 2, 1), d) for d in range(1, 4)]
+    + [(make_field(5, 1, 1), d) for d in range(1, 4)]
+)
+
+
+def _trial_division(desc, d, smaller):
+    # the monic f of degree d with no monic irreducible factor of degree
+    # <= d/2, in the order of `monic_polys`
+    divisors = [g for e in range(1, d // 2 + 1) for g in smaller[e]]
+    return [f for f in monic_polys(desc, d) if all((f % g).codes for g in divisors)]
+
+
+@pytest.mark.parametrize(
+    "desc,d", SIEVE_CELLS, ids=[f"GF{desc.order}-d{d}" for desc, d in SIEVE_CELLS]
+)
+def test_sieve_matches_trial_division_and_the_necklace_count(desc, d):
+    smaller = {}
+    for e in range(1, d // 2 + 1):
+        smaller[e] = _trial_division(desc, e, smaller)
+    sieved = irreducible_polys(desc, d)
+    assert list(sieved) == _trial_division(desc, d, smaller)
+    assert len(sieved) == count_irreducible(desc.order, d)
+    assert all(is_irreducible(f) for f in sieved)
+
+
+@pytest.mark.parametrize("desc,d", [(F4, 3), (F4, 4), (F9, 3)], ids=["q2-d3", "q2-d4", "q3-d3"])
+def test_classify_agrees_on_sieved_and_hand_built_polynomials(desc, d):
+    # `classify` skips the Rabin test only for the sieve's own polynomials;
+    # a hand-built equal polynomial gets it, and the class is the same in
+    # either call order
+    for f in irreducible_polys(desc, d):
+        twin = Poly(desc, f.codes)
+        assert twin == f and type(twin) is not type(f)
+        classify.cache_clear()
+        first = classify(f)
+        classify.cache_clear()
+        assert classify(twin) is first
+        classify.cache_clear()
+        assert classify(twin) is first and classify(f) is first
+    classify.cache_clear()
+
+
+# ----------------------------------------------------------------------
+# product and division kernels against FieldElem-level schoolbook arithmetic
+# ----------------------------------------------------------------------
+
+KERNEL_FIELDS = [F4, F9, make_field(2, 2, 1), make_field(5, 1, 1), make_field(257, 1, 1)]
+
+
+def _school_mul(a, b):
+    desc = a.desc
+    out = [desc.zero] * (len(a.codes) + len(b.codes) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(desc, out)
+
+
+def _school_add(a, b):
+    n = max(len(a.codes), len(b.codes))
+    x, y = (list(f.coeffs) + [f.desc.zero] * (n - len(f.codes)) for f in (a, b))
+    return Poly(a.desc, [u + v for u, v in zip(x, y)])
+
+
+@st.composite
+def kernel_operands(draw):
+    # coefficients are drawn by their logs, so the shrinker reaches the
+    # ends of the log range, where sums of logs wrap around q^2 - 1
+    desc = draw(st.sampled_from(KERNEL_FIELDS))
+    n = desc.order - 1
+    coeff = st.one_of(st.just(0), st.integers(0, n - 1).map(desc.exp_table.__getitem__))
+    a = draw(st.lists(coeff, max_size=9))
+    b = draw(st.lists(coeff, min_size=1, max_size=6))
+    b.append(draw(coeff.filter(bool)))  # nonzero, and not always monic
+    return Poly(desc, a), Poly(desc, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_operands())
+def test_product_matches_the_schoolbook_reference(operands):
+    a, b = operands
+    if a.is_zero():
+        assert (a * b).is_zero() and (b * a).is_zero()
+        return
+    assert a * b == _school_mul(a, b) == b * a
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_operands())
+def test_division_satisfies_a_equals_qb_plus_r(operands):
+    a, b = operands
+    quot, rem = divmod(a, b)
+    assert rem.degree < b.degree
+    back = rem if quot.is_zero() else _school_add(_school_mul(quot, b), rem)
+    assert back == a
+
+
+def test_pow_mod_matches_repeated_multiplication():
+    f = Poly(F9, (2, 1, 0, 1, 1))  # t^4 + t^3 + t + 2
+    base = Poly(F9, (5, 7, 1))
+    power = Poly.one(F9)
+    for e in range(40):
+        assert polyalg.pow_mod(base, e, f) == power
+        power = (power * base) % f
 
 
 def test_t_cubed_minus_one_over_f4():
