@@ -17,15 +17,7 @@ series-versus-oracle verification as CSV/JSON reports.
 __version__ = "0.1.0"
 
 from ._numth import EnumerationBoundError
-from .gf import (
-    FieldDesc,
-    FieldElem,
-    FieldInvariantError,
-    PrimePower,
-    conj,
-    make_field,
-    power_map,
-)
+from .gf import FieldDesc, FieldElem, FieldInvariantError, make_field
 from .polyalg import (
     FactorisationError,
     Poly,
@@ -69,7 +61,6 @@ from .genfun import (
 from .oracle import (
     ConjugacyDatum,
     GroupTable,
-    HermitianForm,
     MatrixClassKind,
     MatrixRep,
     OracleInvariantError,
@@ -82,7 +73,6 @@ from .oracle import (
     datum_of,
     gl_class_data,
     group_table,
-    hermitian_form,
     power_image_counts,
 )
 

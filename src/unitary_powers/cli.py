@@ -67,7 +67,7 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     meta = {
         "q": args.q,
         "M": args.M,
-        "T": args.T,
+        "T": getattr(args, "T", None),
         "family": extra.pop("family", None),
         "kind": extra.pop("kind", None),
         "version": __version__,
@@ -207,9 +207,8 @@ def _int_from(low: int):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each subcommand's runner is its
-    `run` default.  T = 12 is set at the top, for every report's meta."""
+    `run` default."""
     parser = _Parser(prog="unitary-powers", description=__doc__)
-    parser.set_defaults(T=12)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(name, run, help, *, with_M=True):
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=4)
 
     p = common("series", run_series, "coefficients of one generating function")
-    p.add_argument("--T", type=int, default=argparse.SUPPRESS, help="truncation order")
+    p.add_argument("--T", type=int, default=12, help="truncation order")
     p.add_argument("--family", type=Family, choices=families, required=True)
     p.add_argument("--kind", type=Kind, choices=kinds, required=True)
 

@@ -6,12 +6,14 @@ lexicographically least monic irreducible of that degree, comparing
 coefficient vectors from the constant term upward.
 
 Elements are stored as integer codes in [0, q^2): the base-p digits of a code
-are the coordinates over F_p, constant coordinate first.  Every field that
-`make_field` admits (at most `FIELD_BOUND` = 2^20 elements) builds its
-discrete-log tables when it is constructed, and all arithmetic runs on them:
-multiplication adds logarithms, addition is XOR in characteristic 2 and uses
-Zech logarithms otherwise.  Polynomial arithmetic modulo m only finds the
-modulus and the generator g; the powers of g are then walked through the
+are the coordinates over F_p, constant coordinate first.  `FieldDesc(p, l)`
+checks its arguments before it builds anything: p must be prime
+(`ValueError`), l positive (`ValueError`), and the field at most
+`FIELD_BOUND` = 2^20 elements (`EnumerationBoundError`).  It then builds
+three discrete-log tables, and all arithmetic reads them: multiplication
+adds logarithms, addition is XOR in characteristic 2 and uses Zech
+logarithms otherwise.  Polynomial arithmetic modulo m only finds the modulus
+and the generator g; the powers of g are then walked through the
 precomputed columns g * x^i mod m of the F_p-linear map a -> g a.
 
 The tables are public, for kernels that inline the arithmetic (the
@@ -25,12 +27,14 @@ polynomial kernels of `polyalg`).  With Q = q^2 and n = Q - 1:
     over two periods, so a difference t in (-n, 2n) of logs indexes it
     directly (negative t through Python's negative indices).  Then
     g^a + g^b = g^(a + zech_table[b - a]), or 0 where that entry is -1.
-    It is None in characteristic 2, where addition is XOR; for odd p,
-    -1 = g^(n / 2).
+    It is None in characteristic 2, where addition is XOR.
 
-The conjugation a -> a^q is the involution of F_q2 with fixed field F_q.  The
-norm-one circle {a : a^(q + 1) = 1} is U(1, q), a cyclic group of q + 1
-elements.
+Negation and conjugation read the same tables, with 0 mapped to 0: for odd
+p, -1 = g^(n / 2), so -a = `exp_table[log_table[a] + n // 2]`; in
+characteristic 2, -a = a.  The conjugation a -> a^q is
+`exp_table[log_table[a] * q % n]`; it is the involution of F_q2 with fixed
+field F_q.  The norm-one circle {a : a^(q + 1) = 1} is U(1, q), a cyclic
+group of q + 1 elements.
 
 A model that breaks a finite-field invariant while it is set up (no
 irreducible modulus, no primitive element, a power walk that does not close)
@@ -40,7 +44,6 @@ raises `FieldInvariantError`, which survives `python -O`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -49,15 +52,12 @@ from ._numth import EnumerationBoundError, is_prime, prime_factors
 __all__ = [
     "FIELD_BOUND",
     "FieldInvariantError",
-    "PrimePower",
     "FieldDesc",
     "FieldElem",
     "make_field",
-    "conj",
-    "power_map",
 ]
 
-FIELD_BOUND = 1 << 20  # largest field `make_field` builds, tables included
+FIELD_BOUND = 1 << 20  # largest field `FieldDesc` builds, tables included
 
 
 class FieldInvariantError(RuntimeError):
@@ -161,24 +161,6 @@ def _least_irreducible(p, degree):
 # field descriptors and elements
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^l with p prime."""
-
-    p: int
-    l: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.l < 1:
-            raise ValueError(f"exponent l = {self.l} must be positive")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.l
-
-
 class FieldDesc:
     """Concrete model of F_q2 as F_p[x]/(modulus), elements as int codes.
 
@@ -189,13 +171,20 @@ class FieldDesc:
     API.
     """
 
-    def __init__(self, base: PrimePower):
-        self.base = base
-        self.p = base.p
-        self.l = base.l
-        self.q = base.q
-        self.degree = 2 * base.l
-        self.order = self.p**self.degree
+    def __init__(self, p: int, l: int):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if l < 1:
+            raise ValueError(f"exponent l = {l} must be positive")
+        if p ** (2 * l) > FIELD_BOUND:
+            raise EnumerationBoundError(
+                f"field with {p}^{2 * l} elements exceeds the bound {FIELD_BOUND}"
+            )
+        self.p = p
+        self.l = l
+        self.q = p**l
+        self.degree = 2 * l
+        self.order = p**self.degree
         self.modulus = _least_irreducible(self.p, self.degree)
         self._ensure_tables()
 
@@ -216,18 +205,6 @@ class FieldDesc:
         for c in reversed(coords):
             code = code * self.p + c % self.p
         return code
-
-    def elem(self, value) -> "FieldElem":
-        """Coerce an int code, a FieldElem, or a coordinate sequence."""
-        if isinstance(value, FieldElem):
-            if value.desc is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"code {value} out of range for GF({self.order})")
-            return FieldElem(self, value)
-        return FieldElem(self, self.code_of(value))
 
     @property
     def zero(self) -> "FieldElem":
@@ -294,12 +271,8 @@ class FieldDesc:
             )
         self.log_table, self.zech_table = log, None
         if p > 2:
-            self._neg = [exp[(i + n // 2) % n] for i in log]  # -1 = g^(n / 2)
-            self._neg[0] = 0
             self.zech_table = [log[self._incr_const(v)] for v in exp]
             self.zech_table *= 2
-        self._conjtab = [exp[i * self.q % n] for i in log]
-        self._conjtab[0] = 0
         exp *= 2
         self.exp_table = exp
 
@@ -321,7 +294,9 @@ class FieldDesc:
         return self.exp_table[la + t] if t >= 0 else 0
 
     def neg_c(self, a: int) -> int:
-        return a if self.p == 2 else self._neg[a]
+        if self.p == 2 or a == 0:
+            return a
+        return self.exp_table[self.log_table[a] + (self.order - 1) // 2]  # -1 = g^(n / 2)
 
     def sub_c(self, a: int, b: int) -> int:
         return self.add_c(a, self.neg_c(b))
@@ -344,7 +319,9 @@ class FieldDesc:
         return self.exp_table[self.log_table[a] * e % (self.order - 1)]
 
     def conj_c(self, a: int) -> int:
-        return self._conjtab[a]
+        if a == 0:
+            return 0
+        return self.exp_table[self.log_table[a] * self.q % (self.order - 1)]
 
     def __repr__(self):
         return f"FieldDesc(GF({self.order}) = GF({self.q}^2))"
@@ -442,7 +419,7 @@ class FieldElem:
 
 
 # ----------------------------------------------------------------------
-# public constructors and maps
+# the cached constructor
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -450,7 +427,7 @@ def _field(p: int, l: int) -> FieldDesc:
     """The cached descriptor of F_q2.  Unbounded on purpose: elements and
     polynomials compare their descriptors by identity, so evicting one would
     make a later `make_field` return a second, incompatible copy."""
-    return FieldDesc(PrimePower(p, l))
+    return FieldDesc(p, l)
 
 
 def make_field(p: int, l: int, k: int) -> FieldDesc:
@@ -458,29 +435,9 @@ def make_field(p: int, l: int, k: int) -> FieldDesc:
 
     `k`, the degree of the field over F_q2, must be 1: only F_q2 is modelled.
     Repeated calls with equal arguments return the identical (cached) object,
-    so element descriptors can be compared by identity.  Fields above
-    `FIELD_BOUND` elements are refused.
+    so element descriptors can be compared by identity.  `FieldDesc` checks
+    p and l, and refuses fields above `FIELD_BOUND` elements.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if l < 1:
-        raise ValueError(f"exponent l = {l} must be positive")
     if k != 1:
         raise ValueError(f"only F_q2 is modelled (k = 1), not k = {k}")
-    if p ** (2 * l) > FIELD_BOUND:
-        raise EnumerationBoundError(
-            f"field with {p}^{2 * l} elements exceeds the bound {FIELD_BOUND}"
-        )
     return _field(p, l)
-
-
-def conj(a: FieldElem) -> FieldElem:
-    """The conjugation a -> a^q, the involution of F_q2 fixing F_q."""
-    return a.conj()
-
-
-def power_map(a: FieldElem, M: int) -> FieldElem:
-    """a -> a^M for a positive integer M."""
-    if M < 1:
-        raise ValueError(f"M = {M} must be a positive integer")
-    return a**M

@@ -1,7 +1,8 @@
 """Ground-truth brute force for small unitary groups.
 
 U(n, q) is realised concretely as the invertible n x n matrices A over F_q2
-with A L conj(A)^t = L, where L is the anti-diagonal Hermitian form.  Groups
+with A L conj(A)^t = L, where L is the anti-diagonal Hermitian form
+(L[i][j] = 1 iff i + j = n - 1, so L^2 = I).  Groups
 are built as the multiplicative closure of a small generating set S.  S is
 chosen greedily from structured seed elements (diagonal, unipotent
 upper-triangular and monomial unitary matrices, which generate), trying
@@ -61,8 +62,6 @@ from .series import group_order_U
 __all__ = [
     "OracleInvariantError",
     "MatrixRep",
-    "HermitianForm",
-    "hermitian_form",
     "is_unitary",
     "GroupTable",
     "ConjClass",
@@ -168,23 +167,10 @@ class MatrixRep:
         return f"MatrixRep({self.n}x{self.n} over GF({self.desc.order}), {self.codes})"
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """The anti-diagonal form L_n: entries(i, j) = 1 iff i + j = n - 1."""
-
-    n: int
-    entries: MatrixRep
-
-
-def hermitian_form(n: int, desc: FieldDesc) -> HermitianForm:
-    mat = MatrixRep(
-        desc, n, tuple(1 if i + j == n - 1 else 0 for i in range(n) for j in range(n))
-    )
-    return HermitianForm(n, mat)
-
-
 def is_unitary(A: MatrixRep) -> bool:
-    """A L conj(A)^t = L for the anti-diagonal form of A's dimension."""
+    """A L conj(A)^t = L for the anti-diagonal form L of A's dimension:
+    row i of A L is row i of A reversed, so entry (i, j) of the product is
+    sum_k A[i][n-1-k] conj(A[j][k]), which must be 1 iff i + j = n - 1."""
     n = A.n
     desc = A.desc
     add, mul, cj = desc.add_c, desc.mul_c, desc.conj_c

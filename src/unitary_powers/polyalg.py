@@ -24,9 +24,16 @@ logs of one operand's nonzero coefficients are taken once, each term costs
 one `exp_table` lookup, and terms are summed by XOR in characteristic 2 and
 by an inline Zech step otherwise.
 
+`is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
+split that factorisation uses: a monic f of degree d is irreducible iff
+gcd(f, x^(Q^i) - x) = 1 for every i <= d/2, since a reducible f has an
+irreducible factor of degree i <= d/2, which divides x^(Q^i) - x.  So the
+split of f is [(f, d)] exactly when f is irreducible, whether or not f is
+squarefree.
+
 `irreducible_polys` is a product sieve, so its output is irreducible by
 construction; it is of a private `Poly` subclass, for which `classify` skips
-the Rabin test.  Every other polynomial gets the full test.
+the test.  Every other polynomial gets the full test.
 
 Factorisation is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting with random splitters (Cantor &
@@ -147,9 +154,6 @@ class Poly:
     @property
     def coeffs(self) -> tuple[FieldElem, ...]:
         return tuple(FieldElem(self.desc, c) for c in self.codes)
-
-    def constant(self) -> FieldElem:
-        return FieldElem(self.desc, self.codes[0] if self.codes else 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -335,7 +339,7 @@ def monic_polys(desc: FieldDesc, degree: int):
 
 class _Sieved(Poly):
     """A monic irreducible listed by `irreducible_polys`; `classify` trusts
-    the sieve and skips the Rabin test for it."""
+    the sieve and skips the irreducibility test for it."""
 
     __slots__ = ()
 
@@ -384,28 +388,19 @@ def tilde(f: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test over the coefficient field."""
-    d = f.degree
-    if d < 1:
+    """Ben-Or's test over the coefficient field: f is irreducible iff the
+    distinct-degree split finds no factor of degree <= deg f / 2."""
+    if f.degree < 1:
         raise ValueError("irreducibility is about polynomials of degree >= 1")
-    if d == 1:
-        return True
     f = f.monic()
-    Q = f.desc.order
-    x = Poly.t(f.desc)
-    if pow_mod(x, Q**d, f) != x % f:
-        return False
-    for r in prime_factors(d):
-        if gcd_poly(pow_mod(x, Q ** (d // r), f) - x, f).degree > 0:
-            return False
-    return True
+    return _distinct_degree(f) == [(f, f.degree)]
 
 
 @lru_cache(maxsize=4096)
 def classify(f: Poly) -> PolyClass:
     """Class of monic f; memoised (bounded), since the power tests classify
     again a polynomial their caller has just classified.  Polynomials from
-    `irreducible_polys` skip the Rabin test."""
+    `irreducible_polys` skip the irreducibility test."""
     if f.degree < 1:
         raise ValueError("classification is about polynomials of degree >= 1")
     if not f.is_monic():
@@ -535,7 +530,8 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic g into (product of degree-i irreducibles, i)."""
+    """Split squarefree monic g into (product of degree-i irreducibles, i).
+    For any monic g, squarefree or not, it is [(g, deg g)] iff g is irreducible."""
     desc = g.desc
     Q = desc.order
     x = Poly.t(desc)

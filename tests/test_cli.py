@@ -95,6 +95,19 @@ def test_json_schema(tmp_path):
     assert payload["rows"][0]["coefficient"] == "1"
 
 
+def test_meta_reports_T_only_for_series(tmp_path):
+    # counts, verify and table take no --T, so their meta has T = null
+    rc, text = run(tmp_path, ["counts", "--q", "2", "--M", "3", "--format", "json"])
+    assert rc == 0
+    assert json.loads(text)["meta"]["T"] is None
+    rc, text = run(tmp_path, ["series", "--q", "2", "--M", "3", "--family", "sep",
+                              "--kind", "classes", "--format", "json"], "series.json")
+    assert rc == 0
+    payload = json.loads(text)
+    assert payload["meta"]["T"] == 12
+    assert len(payload["rows"]) == 13
+
+
 def test_verify_passes_on_small_groups(tmp_path):
     rc, text = run(tmp_path, ["verify", "--q", "2", "--M", "2", "--n-max", "2"])
     assert rc == 0

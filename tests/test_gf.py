@@ -10,14 +10,7 @@ import pytest
 
 import unitary_powers
 from unitary_powers import EnumerationBoundError, gf
-from unitary_powers.gf import (
-    FieldDesc,
-    FieldInvariantError,
-    PrimePower,
-    conj,
-    make_field,
-    power_map,
-)
+from unitary_powers.gf import FieldDesc, FieldInvariantError, make_field
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
@@ -71,18 +64,28 @@ def test_make_field_rejects_bad_args():
         make_field(2, 1, 2)  # only F_q2 is modelled
 
 
+def test_field_desc_checks_its_arguments():
+    # the constructor itself refuses, before it builds a table
+    with pytest.raises(ValueError):
+        FieldDesc(4, 1)
+    with pytest.raises(ValueError):
+        FieldDesc(2, 0)
+    with pytest.raises(EnumerationBoundError):
+        FieldDesc(2, 11)  # 2^22 elements
+
+
 def test_conj_fixes_zero_and_one():
     for desc in SMALL_FIELDS:
-        assert conj(desc.zero) == desc.zero
-        assert conj(desc.one) == desc.one
+        assert desc.zero.conj() == desc.zero
+        assert desc.one.conj() == desc.one
 
 
 def test_conj_on_f9_generator():
     gens = [a for a in F9.elements() if a.code and mul_order(a) == 8]
     assert len(gens) == 4
     for g in gens:
-        assert conj(g) == g**3
-        assert conj(conj(g)) == g
+        assert g.conj() == g**3
+        assert g.conj().conj() == g
 
 
 @pytest.mark.parametrize("desc", SMALL_FIELDS, ids=lambda d: f"GF{d.order}")
@@ -90,13 +93,13 @@ def test_frobenius_is_a_field_automorphism(desc):
     elems = list(desc.elements())
     for a in elems:
         for b in elems:
-            assert conj(a * b) == conj(a) * conj(b)
-            assert conj(a + b) == conj(a) + conj(b)
+            assert (a * b).conj() == a.conj() * b.conj()
+            assert (a + b).conj() == a.conj() + b.conj()
 
 
 @pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
 def test_conj_fixed_set_is_the_q_subfield(desc):
-    fixed = [a for a in desc.elements() if conj(a) == a]
+    fixed = [a for a in desc.elements() if a.conj() == a]
     assert len(fixed) == desc.q
     codes = {a.code for a in fixed}
     for a in fixed:
@@ -123,15 +126,13 @@ def test_norm_one_conventions():
 
 def test_power_map_identity_exponent():
     for a in F9.elements():
-        assert power_map(a, 1) == a
-    with pytest.raises(ValueError):
-        power_map(F9.one, 0)
+        assert a**1 == a
 
 
 def test_power_map_on_the_norm_one_circle_of_f4():
     mu3 = [a for a in F4.elements() if is_norm_one(a)]
-    assert {power_map(a, 3).code for a in mu3} == {1}
-    assert {power_map(a, 2).code for a in mu3} == {a.code for a in mu3}
+    assert {(a**3).code for a in mu3} == {1}
+    assert {(a**2).code for a in mu3} == {a.code for a in mu3}
 
 
 @pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
@@ -139,7 +140,7 @@ def test_power_map_composes(desc):
     for a in desc.elements():
         for M in (2, 3, 5):
             for N in (2, 3, 5):
-                assert power_map(power_map(a, M), N) == power_map(a, M * N)
+                assert (a**M) ** N == a ** (M * N)
 
 
 def broken_modulus(p, degree):
@@ -158,17 +159,17 @@ def no_prime_factors_of_three(real):
 def test_field_without_a_primitive_element_raises(monkeypatch):
     monkeypatch.setattr(gf, "prime_factors", no_prime_factors_of_three(gf.prime_factors))
     with pytest.raises(FieldInvariantError, match="no primitive element"):
-        FieldDesc(PrimePower(2, 1))
+        FieldDesc(2, 1)
 
 
 def test_power_walk_that_does_not_close_raises(monkeypatch):
     monkeypatch.setattr(gf, "_least_irreducible", broken_modulus)
     with pytest.raises(FieldInvariantError, match="do not return to 1"):
-        FieldDesc(PrimePower(2, 1))
+        FieldDesc(2, 1)
 
 
 def test_rebuilding_the_tables_checks_again():
-    desc = FieldDesc(PrimePower(2, 1))
+    desc = FieldDesc(2, 1)
     desc._ensure_tables()  # no early return: a second build passes again
     assert desc.mul_c(2, 3) == desc._mul_raw(2, 3)
     desc.modulus = (1, 0, 1)
@@ -180,18 +181,18 @@ def test_field_invariant_checks_survive_python_O():
     code = (
         "import sys\n"
         "from unitary_powers import FieldInvariantError, gf\n"
-        "from unitary_powers.gf import FieldDesc, PrimePower\n"
+        "from unitary_powers.gf import FieldDesc\n"
         "caught = 0\n"
         "real_modulus, real_factors = gf._least_irreducible, gf.prime_factors\n"
         "gf._least_irreducible = lambda p, degree: (1, 0, 1)\n"
         "try:\n"
-        "    FieldDesc(PrimePower(2, 1))\n"
+        "    FieldDesc(2, 1)\n"
         "except FieldInvariantError as exc:\n"
         "    caught += 'do not return to 1' in str(exc)\n"
         "gf._least_irreducible = real_modulus\n"
         "gf.prime_factors = lambda n: [1] if n == 3 else real_factors(n)\n"
         "try:\n"
-        "    FieldDesc(PrimePower(2, 1))\n"
+        "    FieldDesc(2, 1)\n"
         "except FieldInvariantError as exc:\n"
         "    caught += 'no primitive element' in str(exc)\n"
         "sys.exit(0 if caught == 2 and sys.flags.optimize else 1)\n"
@@ -205,28 +206,33 @@ def test_field_invariant_checks_survive_python_O():
 
 
 def test_tables_match_polynomial_arithmetic_on_f_257_squared():
-    # 66049 elements, the largest field the suite builds
-    desc = make_field(257, 1, 1)
-    p, q, n = desc.p, desc.q, desc.order - 1
+    # 66049 elements, the largest field the suite builds, on sampled pairs;
+    # then every element, 0 included, of each small field as the first operand
+    big = make_field(257, 1, 1)
+    rng = random.Random(2027)
+    pairs = [(rng.randrange(big.order), rng.randrange(big.order)) for _ in range(400)]
+    pairs += [(0, 0), (0, 5), (1, big.p - 1), (big.p, big.neg_c(big.p))]
+    cases = [(big, pairs)]
+    for desc in SMALL_FIELDS:
+        cases.append((desc, [(a, rng.randrange(desc.order)) for a in range(desc.order)]))
 
-    def digitwise(a, b, sign):
+    def digitwise(desc, a, b, sign):
         return desc.code_of(x + sign * y for x, y in zip(desc.coords_of(a), desc.coords_of(b)))
 
-    rng = random.Random(2027)
-    pairs = [(rng.randrange(desc.order), rng.randrange(desc.order)) for _ in range(400)]
-    pairs += [(0, 0), (0, 5), (1, p - 1), (p, desc.neg_c(p))]
-    for a, b in pairs:
-        assert desc.mul_c(a, b) == desc._mul_raw(a, b)
-        assert desc.add_c(a, b) == digitwise(a, b, 1)
-        assert desc.sub_c(a, b) == digitwise(a, b, -1)
-        assert desc.neg_c(a) == digitwise(0, a, -1)
-        assert desc.conj_c(a) == desc._pow_raw(a, q)
-        e = rng.randrange(-2 * n, 2 * n)
-        if a == 0:
-            continue
-        inv = desc._pow_raw(a, n - 1)
-        assert desc.inv_c(a) == inv
-        assert desc.pow_c(a, e) == (desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e))
+    for desc, pairs in cases:
+        q, n = desc.q, desc.order - 1
+        for a, b in pairs:
+            assert desc.mul_c(a, b) == desc._mul_raw(a, b)
+            assert desc.add_c(a, b) == digitwise(desc, a, b, 1)
+            assert desc.sub_c(a, b) == digitwise(desc, a, b, -1)
+            assert desc.neg_c(a) == digitwise(desc, 0, a, -1)
+            assert desc.conj_c(a) == desc._pow_raw(a, q)
+            e = rng.randrange(-2 * n, 2 * n)
+            if a == 0:
+                continue
+            inv = desc._pow_raw(a, n - 1)
+            assert desc.inv_c(a) == inv
+            assert desc.pow_c(a, e) == (desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e))
 
 
 @pytest.mark.parametrize(

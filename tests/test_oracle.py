@@ -31,7 +31,6 @@ from unitary_powers.oracle import (
     datum_of,
     gl_class_data,
     group_table,
-    hermitian_form,
     is_unitary,
     power_image_counts,
 )
@@ -61,14 +60,6 @@ def elem_of_order(desc, k):
         if j == k:
             return a
     raise AssertionError
-
-
-def test_hermitian_form_is_antidiagonal():
-    lam = hermitian_form(3, F4)
-    assert lam.n == 3
-    for i in range(3):
-        for j in range(3):
-            assert lam.entries.codes[i * 3 + j] == (1 if i + j == 2 else 0)
 
 
 @pytest.mark.parametrize("n,q,size", [(1, 2, 3), (2, 2, 18), (1, 3, 4), (2, 3, 96)])
@@ -106,7 +97,8 @@ def closure(gens, desc, n):
 
 def reference_classes(G):
     """Classes by conjugating each smallest unseen element by every element."""
-    lam = hermitian_form(G.n, G.desc).entries
+    n = G.n
+    lam = MatrixRep(G.desc, n, [1 if i + j == n - 1 else 0 for i in range(n) for j in range(n)])
     inverses = {B.codes: lam * B.conj_transpose() * lam for B in G.elements}
     seen = set()
     out = []

@@ -120,6 +120,16 @@ def test_irreducible_quadratics_over_f4_match_necklace_count():
         assert is_irreducible(f) == (f in brute)
 
 
+@pytest.mark.parametrize("desc,max_deg", [(F4, 4), (F9, 3)], ids=["GF4", "GF9"])
+def test_ben_or_agrees_with_the_sieve_on_every_monic(desc, max_deg):
+    # every monic of each degree, so squares g^2, products t*g and f(0) = 0
+    # are all among the inputs
+    for d in range(1, max_deg + 1):
+        sieved = set(irreducible_polys(desc, d))
+        for f in monic_polys(desc, d):
+            assert is_irreducible(f) == (f in sieved)
+
+
 def test_factor_and_sieve_caches_are_bounded():
     # one `enumerate` benchmark round keeps about 735 factorisations and 9
     # sieved lists; the bounds hold a round without evicting
@@ -331,6 +341,12 @@ def test_factor_property(f):
     assert prod == f
     keys = [g.sort_key() for g, _ in fs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@settings(deadline=None)
+@given(monic_poly())
+def test_irreducible_exactly_when_the_factorisation_is_itself(f):
+    assert is_irreducible(f) == (factor(f) == ((f, 1),))
 
 
 @pytest.mark.parametrize("desc", [F4, F9], ids=["GF4", "GF9"])
