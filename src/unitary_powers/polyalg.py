@@ -19,10 +19,12 @@ degree d (equivalently, the companion matrix of f has an M-th root in
 GL(d, q^2)).  `butler_pattern` predicts the full factor-degree multiset of
 f(x^m) from the multiplicative order of the roots of f.
 
-Products and divisions of `Poly` read the field's log tables (`gf`): the
-logs of one operand's nonzero coefficients are taken once, each term costs
-one `exp_table` lookup, and terms are summed by XOR in characteristic 2 and
-by an inline Zech step otherwise.
+The ring operations of `Poly` (sums, negation, scaling, derivative,
+products, divisions) and `tilde` read the field's log tables (`gf`) inline
+rather than calling its per-element operations: the logs of one operand's
+nonzero coefficients are taken once, each term costs one `exp_table`
+lookup, and terms are summed by XOR in characteristic 2 and by an inline
+Zech step otherwise.
 
 `is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
 split that factorisation uses: a monic f of degree d is irreducible iff
@@ -158,17 +160,33 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b, add = self.codes, other.codes, self.desc.add_c
+        a, b, desc = self.codes, other.codes, self.desc
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return _poly(self.desc, out)
+        zech = desc.zech_table
+        if zech is None:
+            for i, c in enumerate(b):
+                out[i] ^= c
+            return _poly(desc, out)
+        log, exp = desc.log_table, desc.exp_table
+        for i, c in enumerate(b):  # out[i] += c
+            if not c:
+                continue
+            o = out[i]
+            if o:
+                t = zech[log[c] - log[o]]
+                out[i] = exp[log[o] + t] if t >= 0 else 0
+            else:
+                out[i] = c
+        return _poly(desc, out)
 
     def __neg__(self) -> "Poly":
-        neg = self.desc.neg_c
-        return _poly(self.desc, [neg(c) for c in self.codes])
+        desc = self.desc
+        if desc.zech_table is None:  # characteristic 2: -a = a
+            return self
+        log, exp, half = desc.log_table, desc.exp_table, (desc.order - 1) // 2
+        return _poly(desc, [exp[log[c] + half] if c else 0 for c in self.codes])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -198,8 +216,12 @@ class Poly:
         return _poly(desc, out)
 
     def scale(self, code: int) -> "Poly":
-        mul = self.desc.mul_c
-        return _poly(self.desc, [mul(c, code) for c in self.codes])
+        desc = self.desc
+        if not code:
+            return _poly(desc, [])
+        log, exp = desc.log_table, desc.exp_table
+        lc = log[code]
+        return _poly(desc, [exp[log[c] + lc] if c else 0 for c in self.codes])
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -244,10 +266,10 @@ class Poly:
 
     def derivative(self) -> "Poly":
         desc = self.desc
-        out = []
-        for i in range(1, len(self.codes)):
-            out.append(desc.mul_c(self.codes[i], i % desc.p))
-        return Poly(desc, out)
+        log, exp, p = desc.log_table, desc.exp_table, desc.p
+        # i * c_i, with i mod p the code of a prime-field element
+        return _poly(desc, [exp[log[c] + log[i % p]] if c and i % p else 0
+                            for i, c in enumerate(self.codes[1:], 1)])
 
     def __call__(self, a):
         code = a.code if isinstance(a, FieldElem) else int(a)
@@ -382,9 +404,10 @@ def tilde(f: Poly) -> Poly:
     if f.codes[0] == 0:
         raise ValueError("tilde conjugation requires a nonzero constant term")
     desc = f.desc
-    inv0 = desc.inv_c(desc.conj_c(f.codes[0]))
-    d = f.degree
-    return Poly(desc, [desc.mul_c(desc.conj_c(f.codes[d - j]), inv0) for j in range(d + 1)])
+    log, exp, q, n = desc.log_table, desc.exp_table, desc.q, desc.order - 1
+    linv = n - log[f.codes[0]] * q % n  # log of conj(f(0))^-1
+    # coefficient j is conj(f_(d-j)) conj(f(0))^-1, with conj(a) = g^(q log a)
+    return _poly(desc, [exp[log[c] * q % n + linv] if c else 0 for c in reversed(f.codes)])
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -79,6 +80,46 @@ def test_output_is_deterministic(tmp_path):
     _, first = run(tmp_path, args, "a.txt")
     _, second = run(tmp_path, args, "b.txt")
     assert first == second
+
+
+# sha256 of the stdout of `series --format csv` for every applicable family
+# and kind at each q's largest accepted T; a changed digit or decimal fails it
+SERIES_CSV_SHA256 = {
+    (2, 5, "sep", "classes", 21): "d4ba400f6e405bcbd24e8bee7516741c6fba103fe4458d677f6c034652fd27d6",
+    (2, 5, "sep", "elements", 21): "bdb3c4e1ee5eab618672c2ddc784aa43e2721dcc6271065ed15cf9182cdd3c36",
+    (2, 5, "cyc", "classes", 21): "f6abfbfbe50c66f9c5275592bc8621397bde4d6cb1ba1f21eb75a946fdd06d4e",
+    (2, 5, "cyc", "elements", 21): "4359833c4986018766223b91c0df71aa374f3aae26f6b2a129c27d9193b5c987",
+    (2, 5, "ss", "classes", 21): "bca72ff38c9d5726601059816dfb5847e5063d5d3b75f9959147f31d9616ebdf",
+    (2, 5, "ss", "elements", 21): "caec9656b2d255a29f605a465c4ca026a818e8168f555582cd90e6233c37c995",
+    (3, 2, "sep", "classes", 13): "040d03337611adaa0c297553328363aba022cfffe120763398256b3231c8d1cc",
+    (3, 2, "sep", "elements", 13): "5aada2fb934c31a5e1a895dea6472b3048f6e86a5a5572f63ff9df5357fb5478",
+    (3, 2, "cyc", "classes", 13): "15770fc30c87c1d71ae1f989787410afca347b3cc00da5bdceb051ff41089700",
+    (3, 2, "cyc", "elements", 13): "3c2b442a60cac77f2d581c692bbeaf93da04b79f9a06533107129b38cbc1a742",
+    (3, 2, "ss", "classes", 13): "e95ed244c6086b1618dfad79369edc7f1587ed1cd5ecff1cde919cf329910022",
+    (3, 2, "ss", "elements", 13): "3aee81c9ab9a91f65592e9be7d26365f484038fe160d84429fd7ee2c137d0119",
+    (5, 2, "sep", "classes", 9): "37471ebab551bb13da4aae35563a02048371cbaec7b54a89f12719c673e94a34",
+    (5, 2, "sep", "elements", 9): "a3faf28a90f206b1c6b6828144265d746c29c66d09da1d3f3ed03df0a0f8a735",
+    (5, 2, "cyc", "classes", 9): "6c84532e381daa591daad2db1dcfcb20d85e57e3b3e64a086ad584222b98c8d9",
+    (5, 2, "cyc", "elements", 9): "0e760ed4a72f5d0356c043482d4a719239ff32ac3a5c140741ccba380350ce78",
+    (5, 2, "ss", "classes", 9): "f8611a5e5dcbacb67170fe1e8b7c4dee9fa4a68d4805359c830b2465a83c179a",
+    (5, 2, "ss", "elements", 9): "58fa6f30e8ac9c1d7a96e8722abb4ae3b98f9e949898bdd1fb9417a0aeb077f0",
+    (9, 2, "sep", "classes", 7): "667b282aa206e0b9b57efbc2b8d22da6dbf0b02d3c1095cc10a97c51d825dd0c",
+    (9, 2, "sep", "elements", 7): "80d7bf3c3c5c3d187232d7c5954464ab68507b59a45c0d8e111fc4aed344492a",
+    (9, 2, "cyc", "classes", 7): "b46712368f7dae72c8e53e830e26d521c0f39d4cf014dd59e6331c17f7016173",
+    (9, 2, "cyc", "elements", 7): "af48d7dd1c5225f0394d2a21579132d463c9519946700a617405044d192a4f57",
+    (9, 2, "ss", "classes", 7): "e308469c943deb5aa5c0c27c7d682500255286093ae3fcdef2c48437f380d5fe",
+    (9, 2, "ss", "elements", 7): "bac50c92a313a233c9c9e78c112402050fa47dd906689c28514523ad48e883c6",
+}
+
+
+@pytest.mark.parametrize("q,M,family,kind,T", SERIES_CSV_SHA256)
+def test_series_csv_output_is_pinned(capsys, q, M, family, kind, T):
+    rc = main(["series", "--q", str(q), "--M", str(M), "--family", family,
+               "--kind", kind, "--T", str(T), "--format", "csv"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == T + 2  # header and z^0 .. z^T
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_CSV_SHA256[(q, M, family, kind, T)]
 
 
 def test_json_schema(tmp_path):

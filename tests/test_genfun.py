@@ -12,6 +12,7 @@ from unitary_powers.genfun import (
     Family,
     Kind,
     SeriesRequest,
+    applicable_families,
     centralizer_order,
     cyc_class_series,
     cyc_elem_series,
@@ -24,7 +25,7 @@ from unitary_powers.genfun import (
 from unitary_powers.gf import make_field
 from unitary_powers.oracle import ConjugacyDatum, MatrixRep, datum_of
 from unitary_powers.polyalg import Poly
-from unitary_powers.series import binom_factor, one
+from unitary_powers.series import binom_factor, group_order_U, one
 
 F4 = make_field(2, 1, 1)
 
@@ -184,3 +185,37 @@ def test_separable_class_series_is_below_cyclic_and_semisimple(cell):
     for other in (cyc_class_series(q, M, T), ss_class_series(q, M, T)):
         assert all(a <= b for a, b in zip(sep, other.coeffs))
 
+
+# ----------------------------------------------------------------------
+# identities at the largest truncation each q accepts
+# ----------------------------------------------------------------------
+
+CAP_T = {2: 21, 3: 13, 4: 11, 5: 9, 7: 7, 8: 7, 9: 7}
+
+
+@pytest.mark.parametrize("q,T", CAP_T.items())
+def test_all_cyclic_and_all_semisimple_classes_number_q_n_plus_q_n_minus_1(q, T):
+    # at M = 1 every class is counted: U(n, q) has q^n + q^(n-1) cyclic
+    # classes and as many semisimple ones
+    for family in (Family.CYCLIC, Family.SEMISIMPLE):
+        s = series_for(SeriesRequest(q, 1, T, family, Kind.CLASSES))
+        assert [s.coeff(n) for n in range(1, T + 1)] == [
+            q**n + q ** (n - 1) for n in range(1, T + 1)
+        ], family
+
+
+@pytest.mark.parametrize("q,T", CAP_T.items())
+def test_M_coprime_to_the_group_order_changes_no_coefficient(q, T):
+    # if gcd(M, |U(n, q)|) = 1, x -> x^M is a bijection of U(n, q), so every
+    # class and every element is an M-th power
+    compared = 0
+    for M in range(2, 8):
+        coprime = [n for n in range(1, T + 1) if gcd(M, group_order_U(n, q)) == 1]
+        for family in applicable_families(q, M):
+            for kind in Kind:
+                at_M = series_for(SeriesRequest(q, M, T, family, kind))
+                at_1 = series_for(SeriesRequest(q, 1, T, family, kind))
+                assert [at_M.coeff(n) for n in coprime] == [at_1.coeff(n) for n in coprime], (
+                    M, family, kind)
+                compared += len(coprime)
+    assert compared

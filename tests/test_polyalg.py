@@ -186,7 +186,7 @@ def test_classify_agrees_on_sieved_and_hand_built_polynomials(desc, d):
 
 
 # ----------------------------------------------------------------------
-# product and division kernels against FieldElem-level schoolbook arithmetic
+# ring kernels against FieldElem-level schoolbook arithmetic
 # ----------------------------------------------------------------------
 
 KERNEL_FIELDS = [F4, F9, make_field(2, 2, 1), make_field(5, 1, 1), make_field(257, 1, 1)]
@@ -238,6 +238,26 @@ def test_division_satisfies_a_equals_qb_plus_r(operands):
     assert rem.degree < b.degree
     back = rem if quot.is_zero() else _school_add(_school_mul(quot, b), rem)
     assert back == a
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_operands())
+def test_linear_kernels_and_tilde_match_the_schoolbook_reference(operands):
+    a, b = operands
+    desc = a.desc
+    neg_b = Poly(desc, [-x for x in b.coeffs])
+    assert a + b == _school_add(a, b) == b + a
+    assert -b == neg_b
+    assert a - b == _school_add(a, neg_b)
+    lead = b.coeffs[-1]
+    assert a.scale(lead.code) == Poly(desc, [x * lead for x in a.coeffs])
+    assert a.scale(0).is_zero()
+    assert a.derivative() == Poly(desc, [x * (i % desc.p) for i, x in enumerate(a.coeffs)][1:])
+    f = Poly(desc, [x / lead for x in b.coeffs])
+    assert b.monic() == f
+    if f.codes[0]:
+        inv0 = f.coeffs[0].conj().inverse()
+        assert tilde(f) == Poly(desc, [x.conj() * inv0 for x in reversed(f.coeffs)])
 
 
 def test_pow_mod_matches_repeated_multiplication():

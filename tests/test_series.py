@@ -1,6 +1,8 @@
 """Truncated series ring and group orders."""
 
+import time
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -146,3 +148,100 @@ def test_negative_power_needs_a_nonzero_constant_term():
     with pytest.raises(ValueError):
         Series(3, coeffs(0, 0, 0, 0)) ** (-2)
     assert F**2 == Series(3, coeffs(0, 0, 1, 4))
+
+
+# ----------------------------------------------------------------------
+# ring operations against a schoolbook Fraction reference
+# ----------------------------------------------------------------------
+
+def _ref_mul(a, b):
+    T = len(a) - 1
+    out = [Fraction(0)] * (T + 1)
+    for i, x in enumerate(a):
+        for j in range(T + 1 - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def _ref_inverse(a):
+    # a * inv = 1, solved coefficient by coefficient; needs a_0 != 0
+    inv = [1 / a[0]]
+    for k in range(1, len(a)):
+        inv.append(-sum(a[j] * inv[k - j] for j in range(1, k + 1)) / a[0])
+    return inv
+
+
+def _ref_pow(a, e):
+    base = a if e >= 0 else _ref_inverse(a)
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(abs(e)):
+        out = _ref_mul(out, base)
+    return out
+
+
+@st.composite
+def ring_case(draw):
+    """(a, b, e): coefficient lists of one length T + 1 <= 8 whose constant
+    terms are 0, 1 or a rational other than 0 and +-1, and an exponent
+    -8..8."""
+    T = draw(st.integers(0, 7))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    non_unit = rationals.filter(lambda c: c not in (0, 1, -1))
+    constant = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), non_unit)
+    a, b = ([draw(constant)] + draw(st.lists(rationals, min_size=T, max_size=T))
+            for _ in range(2))
+    return a, b, draw(st.integers(-8, 8))
+
+
+def _in_lowest_terms(s):
+    return s.den > 0 and gcd(s.den, *s.num) == 1
+
+
+@settings(deadline=None)
+@given(ring_case())
+def test_ring_operations_match_the_schoolbook_reference(case):
+    a, b, e = case
+    T = len(a) - 1
+    A, B = Series(T, a), Series(T, b)
+    results = {
+        "+": (A + B, [x + y for x, y in zip(a, b)]),
+        "-": (A - B, [x - y for x, y in zip(a, b)]),
+        "neg": (-A, [-x for x in a]),
+        "*": (A * B, _ref_mul(a, b)),
+    }
+    if e >= 0 or a[0]:
+        results["**"] = (A**e, _ref_pow(a, e))
+    else:
+        with pytest.raises(ValueError):
+            A**e
+    for op, (got, want) in results.items():
+        assert got.coeffs == tuple(want), op
+        assert got == Series(T, want), op
+        assert _in_lowest_terms(got), op
+
+
+@pytest.mark.parametrize("x", [3, 2**20 - 1])
+@pytest.mark.parametrize("e", [10**5, -(10**5)])
+def test_huge_exponent_is_scaled_after_reduction(x, e):
+    # (1 + z/x)^e and (1 - z/x)^e at |e| = 10^5: the scale (x/x)^e must be
+    # reduced before it is raised, or the power builds integers of megabits
+    T = 21
+    t0 = time.perf_counter()
+    got = binom_factor(1, Fraction(1, x), e, T)
+    elapsed = time.perf_counter() - t0
+    # (1 - c z)^-n = sum of C(n + k - 1, k) c^k z^k
+    binomial = (lambda k: comb(e, k)) if e > 0 else (lambda k: comb(-e + k - 1, k))
+    assert got == Series(T, [Fraction(binomial(k), x**k) for k in range(T + 1)])
+    assert elapsed < 0.1
+
+
+def test_power_of_an_euler_factor_keeps_to_the_true_denominators():
+    # the z^k coefficient of a power of sum z^m / |U(m, 2)| has a denominator
+    # dividing |U(k, 2)|; the bound h_0^k = |U(T, 2)|^k would take seconds
+    T = 60
+    f = euler_factor(1, lambda m: group_order_U(m, 2), 1, T)
+    t0 = time.perf_counter()
+    cube = f**3
+    elapsed = time.perf_counter() - t0
+    assert cube == f * f * f
+    assert elapsed < 1.0
