@@ -93,8 +93,8 @@ def run_series(args: argparse.Namespace) -> Report:
     request = genfun.SeriesRequest(args.q, args.M, args.T, args.family, args.kind)
     s = genfun.series_for(request)
     rows = [
-        {"n": n, "coefficient": str(s.coeff(n)), "decimal": repr(float(s.coeff(n)))}
-        for n in range(args.T + 1)
+        {"n": n, "coefficient": str(c), "decimal": repr(float(c))}
+        for n, c in enumerate(s.coeffs)
     ]
     return Report(_meta(args, family=args.family.value, kind=args.kind.value), _SERIES_COLUMNS, rows)
 

@@ -1,20 +1,36 @@
 """Counts of the polynomial families that drive the generating functions.
 
-For q a prime power and the coefficient field F_q2:
+Let q be a prime power, Q = q^2 and F_Q = F_q2.  A monic irreducible of
+degree d over F_Q, t aside, is the minimal polynomial of one Frobenius
+orbit of d elements a of F_{Q^d}^* with F_Q(a) = F_{Q^d}.  The cyclic group
+F_{Q^d}^* has one subgroup of order h for each h | Q^d - 1, and it meets
+the subfield F_{Q^(d/l)} in the subgroup of order (Q^(d/l) - 1, h).
+Moebius inversion over the subfields gives the number of its elements of
+degree exactly d over F_Q:
 
-  * N~(q, d)    -- SCIM polynomials of degree d (zero for even d; for odd d
-                   they correspond to Frobenius orbits of norm-one elements
-                   generating F_{q^(2d)});
-  * N~_M(q, d)  -- the M~-power SCIM polynomials among them, by the closed
-                   form (1 / (d * (M, q^d + 1))) * sum over l | d of
-                   mu(l) * (M * (q^(2d/l) - 1), q^d + 1);
-  * R~(q, d)    -- unordered pairs {g, g~} of non-self-conjugate irreducibles
-                   of degree d with g(0) != 0;
-  * R~_M(q, d)  -- the pairs whose members are M-power polynomials, by the
-                   gcd closed form derived in `count_mpower_pairs`; the tests
-                   pin it to a walk over the element orders of F_{q^(2d)}
-                   and to factoring f(x^M) for every pair member;
-  * S~'_M(d,q) = N~ - N~_M and S'_M(d,q) = R~ - R~_M, the non-power leftovers.
+    E(Q, d, h) = sum over l | d of mu(l) * (Q^(d/l) - 1, h)   (`_exact_degree`).
+
+Every count is E over an orbit length.  With n = q^d + 1, N = Q^d - 1 and
+P = N / (M, N):
+
+    count                subgroup, of order h                   orbit length
+    I(Q, d) irreducible  F_{Q^d}^* (N), plus t when d = 1       d
+    N~(q, d) SCIM        the norm-one circle (n), d odd         d
+    N~_M(q, d)           M-th powers in the circle (n/(M, n))   d
+    R~_M(q, d) pairs     M-th powers (P), less (n, P) if d odd  2d
+
+An irreducible g equals its conjugate reciprocal g~ iff a^(-1) = a^(q^k)
+for some odd k; then the length 2d of the q-Frobenius orbit of a divides
+2k but not k, which forces d odd and a^n = 1.  So the SCIMs (self-conjugate
+irreducible monics) of degree d are the orbits in the circle, and even d
+has none.  A SCIM is an M~-power, and a pair member an M-power polynomial,
+iff a is an M-th power in the circle, resp. in F_{Q^d}^*.  A pair {g, g~}
+holds two orbits.  R~(q, d), all pairs with g(0) != 0, is
+(I(Q, d) - [d = 1] - N~(q, d)) / 2, which checks the necklace count against
+the SCIM count.  Each sum equals the paper's form term by term:
+(M x, n) = (M, n) (x, n / (M, n)) by p-adic valuations,
+(q^(2j) - 1, n) = q^j + 1 when d / j is odd, and sum of mu(l) = [d = 1].
+S~'_M = N~ - N~_M and S'_M = R~ - R~_M are the non-power leftovers.
 
 All counts are exact integers; internal divisibility, the even number of
 non-SCIM irreducibles and the non-negative leftovers are checked, raising
@@ -60,46 +76,42 @@ def _exact_quotient(total: int, d: int, what: str) -> int:
     return count
 
 
-def count_scim(q: int, d: int) -> int:
-    """N~(q, d): SCIM polynomials of degree d over F_q2.
+def _exact_degree(Q: int, d: int, h: int) -> int:
+    """E(Q, d, h): elements of degree exactly d over F_Q in the subgroup of
+    order h of F_{Q^d}^*, for h | Q^d - 1 (see the module docstring)."""
+    return sum(mobius(l) * gcd(Q ** (d // l) - 1, h) for l in divisors(d))
 
-    (1/d) * sum over l | d of mu(l) * (q^(d/l) + 1) for odd d, else 0.
-    """
+
+def count_scim(q: int, d: int) -> int:
+    """N~(q, d): SCIM polynomials of degree d over F_q2, on the norm-one
+    circle.  The memoir's form: (1/d) * sum over l | d of mu(l) * (q^(d/l) + 1)
+    for odd d, else 0."""
     _validate(q, d)
     if d % 2 == 0:
         return 0
-    total = sum(mobius(l) * (q ** (d // l) + 1) for l in divisors(d))
+    total = _exact_degree(q * q, d, q**d + 1)
     return _exact_quotient(total, d, "SCIM count must be integral")
 
 
 def count_mtilde_scim(q: int, d: int, M: int) -> int:
-    """N~_M(q, d): M~-power SCIM polynomials of degree d.
-
-    (1 / (d * (M, q^d + 1))) * sum over l | d of
-    mu(l) * (M * (q^(2d/l) - 1), q^d + 1) for odd d, else 0.
-
-    The Moebius sum counts norm-one elements b with b^M still generating
-    F_{q^(2d)}; the power map on the norm-one circle is (M, q^d + 1)-to-one
-    onto its image, whence the denominator.  M = 1 reproduces N~(q, d)
-    (every polynomial is a first power), which the series builders use as
-    the unrestricted baseline.
-    """
+    """N~_M(q, d): M~-power SCIM polynomials of degree d, on the M-th powers
+    in the norm-one circle.  The paper's form: (1 / (d * (M, q^d + 1))) *
+    sum over l | d of mu(l) * (M * (q^(2d/l) - 1), q^d + 1) for odd d, else 0.
+    M = 1 gives N~(q, d)."""
     _validate(q, d, M)
     if d % 2 == 0:
         return 0
-    total = sum(
-        mobius(l) * gcd(M * (q ** (2 * d // l) - 1), q**d + 1) for l in divisors(d)
-    )
-    return _exact_quotient(
-        total, d * gcd(M, q**d + 1), "M~-power SCIM count must be integral"
-    )
+    n = q**d + 1
+    total = _exact_degree(q * q, d, n // gcd(M, n))
+    return _exact_quotient(total, d, "M~-power SCIM count must be integral")
 
 
 def count_irreducible(Q: int, d: int) -> int:
-    """Monic irreducibles of degree d over F_Q (necklace formula)."""
+    """Monic irreducibles of degree d over F_Q, on all of F_{Q^d}^*, plus t
+    in degree 1.  The necklace form: (1/d) * sum over l | d of mu(l) * Q^(d/l)."""
     if Q < 2 or d < 1:
         raise ValueError("need a field size Q >= 2 and degree d >= 1")
-    total = sum(mobius(l) * Q ** (d // l) for l in divisors(d))
+    total = _exact_degree(Q, d, Q**d - 1) + (1 if d == 1 else 0)
     return _exact_quotient(total, d, "irreducible count must be integral")
 
 
@@ -115,35 +127,20 @@ def count_pairs(q: int, d: int) -> int:
 
 
 def count_mpower_pairs(q: int, d: int, M: int) -> int:
-    """R~_M(q, d): pairs {g, g~} whose members are M-power polynomials.
+    """R~_M(q, d): pairs {g, g~} whose members are M-power polynomials, on
+    the M-th powers of F_{Q^d}^* less, for odd d, their norm-one part.  With
+    Q = q^2, N = Q^d - 1 and P = N / (M, N), the paper's form:
 
-    With Q = q^2, n = Q^d - 1 and P = n / (M, n):
-
-      R~_M = (1/2d) [ sum over l | d of mu(l) (Q^(d/l) - 1, P)
-                      - [d odd] sum over l | d of mu(l) (q^d + 1, Q^(d/l) - 1, P) ].
-
-    A member g of degree d is the minimal polynomial over F_Q of d elements
-    a of F_{Q^d}^* with F_Q(a) = F_{Q^d}, and g is an M-power polynomial iff
-    a is an M-th power, i.e. lies in the subgroup of order P of the cyclic
-    group F_{Q^d}^*.  That subgroup meets the subfield F_{Q^(d/l)} in its
-    subgroup of order (Q^(d/l) - 1, P), so the first Moebius sum counts the
-    M-th powers of degree exactly d.  Among them, g = g~ iff a^(-q) is a
-    Frobenius conjugate a^(q^k); then k is odd and the q-Frobenius orbit of
-    a, of length 2d, divides 2k but not k, which forces d odd and
-    a^(q^d + 1) = 1.  The norm-one elements form the subgroup of order
-    q^d + 1, and the second sum removes them in the same way.  What remains
-    are the pair members, 2d elements per pair.
+      (1/2d) [ sum over l | d of mu(l) (Q^(d/l) - 1, P)
+               - [d odd] sum over l | d of mu(l) (q^d + 1, Q^(d/l) - 1, P) ].
     """
     _validate(q, d, M)
     Q = q * q
-    n = Q**d - 1
-    P = n // gcd(M, n)
-    total = 0
-    for l in divisors(d):
-        in_subfield = gcd(Q ** (d // l) - 1, P)
-        if d % 2:
-            in_subfield -= gcd(q**d + 1, in_subfield)
-        total += mobius(l) * in_subfield
+    N = Q**d - 1
+    P = N // gcd(M, N)
+    total = _exact_degree(Q, d, P)
+    if d % 2:
+        total -= _exact_degree(Q, d, gcd(q**d + 1, P))
     return _exact_quotient(
         total, 2 * d, "pair-member element count must split into pairs of orbits"
     )
@@ -153,9 +150,9 @@ def check_pair_field(q: int, d: int):
     """Refuse pair degree d when q^(2d) exceeds `PAIR_FIELD_BOUND`.
 
     Count tables stop at d = 10, 6, 5, 4, 3 and series at T = 21, 13, 11, 9,
-    7 for q = 2, 3, 4, 5 and 7-9.  The closed form above costs little at any
-    d; the bound keeps the accepted inputs where the former enumeration put
-    them until the series cost is modelled.
+    7 for q = 2, 3, 4, 5 and 7-9.  The counts cost little at any d; the
+    bound stays because the series cost is not modelled yet (ROADMAP.md,
+    item 4).
     """
     if q ** (2 * d) > PAIR_FIELD_BOUND:
         raise EnumerationBoundError(

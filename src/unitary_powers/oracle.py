@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -710,9 +710,9 @@ class PowerImageCounts:
     n: int
     q: int
     M: int
-    elements: dict = field(compare=False)
-    classes: dict = field(compare=False)
-    in_image: tuple = field(compare=False)
+    elements: dict
+    classes: dict
+    in_image: tuple
 
 
 def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:

@@ -16,6 +16,7 @@ from unitary_powers._numth import divisors, euler_phi, mult_order
 from unitary_powers.counts import (
     CountInvariantError,
     CountRecord,
+    _exact_degree,
     count_irreducible,
     count_mpower_pairs,
     count_mtilde_scim,
@@ -318,3 +319,91 @@ def test_power_counts_are_bounded_by_the_totals(cell):
 def test_mpower_pair_closed_form_equals_the_order_walk(cell):
     q, d, M = cell
     assert count_mpower_pairs(q, d, M) == walk_mpower_pairs(q, d, M)
+
+
+# the paper's and the memoir's own forms of each count, written out here
+# independently of `counts._exact_degree`
+
+def divisors_of(d):
+    return [l for l in range(1, d + 1) if d % l == 0]
+
+
+def memoir_scim(q, d):
+    if d % 2 == 0:
+        return 0
+    total = sum(brute_mobius(l) * (q ** (d // l) + 1) for l in divisors_of(d))
+    assert total % d == 0
+    return total // d
+
+
+def paper_mtilde_scim(q, d, M):
+    if d % 2 == 0:
+        return 0
+    n = q**d + 1
+    total = sum(
+        brute_mobius(l) * gcd(M * (q ** (2 * d // l) - 1), n) for l in divisors_of(d)
+    )
+    assert total % (d * gcd(M, n)) == 0
+    return total // (d * gcd(M, n))
+
+
+def necklace(Q, d):
+    total = sum(brute_mobius(l) * Q ** (d // l) for l in divisors_of(d))
+    assert total % d == 0
+    return total // d
+
+
+def paper_mpower_pairs(q, d, M):
+    Q = q * q
+    N = Q**d - 1
+    P = N // gcd(M, N)
+    total = sum(brute_mobius(l) * gcd(Q ** (d // l) - 1, P) for l in divisors_of(d))
+    if d % 2:
+        total -= sum(
+            brute_mobius(l) * gcd(q**d + 1, Q ** (d // l) - 1, P) for l in divisors_of(d)
+        )
+    assert total % (2 * d) == 0
+    return total // (2 * d)
+
+
+PAPER_GRID_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
+
+
+def test_counts_equal_the_paper_forms_on_a_grid():
+    cells = 0
+    for q in PAPER_GRID_Q:
+        for d in range(1, 13):
+            if q ** (2 * d) > 10**40:
+                break
+            assert count_scim(q, d) == memoir_scim(q, d), (q, d)
+            assert count_irreducible(q * q, d) == necklace(q * q, d), (q, d)
+            assert count_pairs(q, d) == paper_mpower_pairs(q, d, 1), (q, d)
+            for M in range(1, 25):
+                assert count_mtilde_scim(q, d, M) == paper_mtilde_scim(q, d, M), (q, d, M)
+                assert count_mpower_pairs(q, d, M) == paper_mpower_pairs(q, d, M), (q, d, M)
+                cells += 1
+    assert cells == 3456
+
+
+def walk_exact_degree(Q, d, h):
+    """Elements of degree d in the subgroup of order h of Z/(Q^d - 1), the
+    exponents of a generator: k has degree j over F_Q for the least j with
+    k * (Q^j - 1) = 0 mod Q^d - 1."""
+    N = Q**d - 1
+    found = 0
+    for k in range(0, N, N // h):
+        j = next(j for j in range(1, d + 1) if k * (Q**j - 1) % N == 0)
+        found += j == d
+    return found
+
+
+def test_exact_degree_equals_the_subgroup_walk():
+    cases = 0
+    for Q in (2, 3, 4, 5, 7, 8, 9):
+        d = 1
+        while Q**d <= 1 << 12:
+            for h in divisors_of(Q**d - 1):
+                assert _exact_degree(Q, d, h) == walk_exact_degree(Q, d, h), (Q, d, h)
+                cases += 1
+            d += 1
+    assert cases == 342

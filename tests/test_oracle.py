@@ -19,6 +19,7 @@ from unitary_powers.oracle import (
     GroupTable,
     MatrixRep,
     OracleInvariantError,
+    PowerImageCounts,
     _unitary_inverse,
     _wall_centraliser_order,
     _wall_class_number,
@@ -201,11 +202,19 @@ def test_group_table_cache_is_bounded():
     assert maxsize is not None and maxsize >= 16
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (2, 5), (2, 7)])
+# |S| of the seeds in their order (decreasing element order, ties by codes);
+# ordering them by codes alone gives 2, 3, 5, 5, 7, 5 for U(1,3), U(2,2), U(2,3),
+# U(2,5), U(2,7), U(3,2)
+GENERATOR_COUNTS = {(1, 2): 1, (2, 2): 2, (3, 2): 3, (1, 3): 1, (2, 3): 3, (2, 4): 3,
+                    (2, 5): 3, (2, 7): 3}
+
+
+@pytest.mark.parametrize("n,q", list(GENERATOR_COUNTS))
 def test_generators_generate_and_are_few(n, q):
     G = group_table(n, q)
     assert closure(G.generators, G.desc, n) == {A.codes for A in G.elements}
     assert 1 <= len(G.generators) <= ceil(log2(len(G)))
+    assert len(G.generators) == GENERATOR_COUNTS[n, q]
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (2, 4)])
@@ -491,6 +500,15 @@ def test_coprime_power_map_is_a_bijection():
     fifth, full = power_image_counts(G, 5), power_image_counts(G, 1)
     assert fifth.classes == full.classes and fifth.elements == full.elements
     assert fifth.classes["all"] == 9
+
+
+def test_power_image_counts_compare_every_field():
+    # equal (n, q, M) with different tallies are different results
+    assert PowerImageCounts(2, 2, 2, {"all": 1}, {"all": 1}, (True,)) != PowerImageCounts(
+        2, 2, 2, {"all": 9}, {"all": 9}, (False,)
+    )
+    G = group_table(2, 2)
+    assert power_image_counts(G, 2) == power_image_counts(G, 2)
 
 
 def test_u13_total_class_structure():
