@@ -2,6 +2,10 @@
 
 Everything here is exact integer arithmetic on desk-scale inputs (trial
 division is plenty fast for the field and group sizes this library handles).
+Two helpers are generic in the element type, so each job has one loop:
+`power(x, e, mul)` is the package's square-and-multiply (matrices,
+polynomials modulo f, field codes), and `order_dividing(t, is_one)` is its
+order loop (`mult_order`, `polyalg.root_order`).
 """
 
 from __future__ import annotations
@@ -77,6 +81,36 @@ def mobius(n: int) -> int:
     return out
 
 
+def power(x, e: int, mul):
+    """x^e for e >= 1, by square-and-multiply with the product `mul`.
+
+    The walk starts at the lowest set bit of e, so the identity is never a
+    factor and no product is spent on it."""
+    if e < 1:
+        raise ValueError(f"exponent {e} must be positive")
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
+    while e:
+        x = mul(x, x)
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+    return result
+
+
+def order_dividing(t: int, is_one) -> int:
+    """The order of an element whose t-th power is 1 (t >= 1), where
+    `is_one(k)` says whether its k-th power is 1: each prime is stripped
+    from t while the power stays 1."""
+    for p in prime_factors(t):
+        while t % p == 0 and is_one(t // p):
+            t //= p
+    return t
+
+
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n (order of a in (Z/n)^*).
 
@@ -88,11 +122,7 @@ def mult_order(a: int, n: int) -> int:
         return 1
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not invertible modulo {n}")
-    t = euler_phi(n)
-    for p in prime_factors(t):
-        while t % p == 0 and pow(a, t // p, n) == 1:
-            t //= p
-    return t
+    return order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1)
 
 
 def prime_power(n: int) -> tuple[int, int]:

@@ -182,10 +182,14 @@ def _csv_cell(value) -> str:
 
 
 def _emit(report: Report, args: argparse.Namespace):
+    """Write the finished report; a run that fails before this leaves no file."""
     text = _render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -198,9 +202,14 @@ class _Parser(argparse.ArgumentParser):
 def _int_from(low: int):
     """An argparse type: an integer >= low."""
     def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
-        return int(text)
+        wrong = argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise wrong from None
+        if value < low:
+            raise wrong
+        return value
     return parse
 
 
@@ -226,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = [k.value for k in Kind]
 
     p = common("counts", run_counts, "count-table rows for d = 1..d_max")
-    p.add_argument("--d-max", type=int, default=4)
+    p.add_argument("--d-max", type=_int_from(0), default=4)
 
     p = common("series", run_series, "coefficients of one generating function")
-    p.add_argument("--T", type=int, default=12, help="truncation order")
+    p.add_argument("--T", type=_int_from(0), default=12, help="truncation order")
     p.add_argument("--family", type=Family, choices=families, required=True)
     p.add_argument("--kind", type=Kind, choices=kinds, required=True)
 
     p = common("verify", run_verify, "series vs oracle, exit 2 on mismatch")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_int_from(1), default=2)
     p.add_argument("--family", type=Family, choices=families, action="append",
                    help="repeatable; default: all families valid for (q, M)")
     p.add_argument("--kind", type=Kind, choices=kinds, default=None)
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                with_M=False)
     p.add_argument("--M", type=_int_from(1), default=1,
                    help="optionally mark classes in the M-th power image")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_int_from(1), default=2)
 
     return parser
 

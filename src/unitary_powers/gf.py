@@ -3,7 +3,8 @@
 F_q2 (q = p^l) is modelled as F_p[x]/(m) for a fixed monic irreducible m of
 degree 2l.  To make every downstream count reproducible, m is the
 lexicographically least monic irreducible of that degree, comparing
-coefficient vectors from the constant term upward.
+coefficient vectors from the constant term upward; trial division finds it,
+as the least candidate with m(0) != 0 and no monic divisor of degree 1 .. l.
 
 Elements are stored as integer codes in [0, q^2): the base-p digits of a code
 are the coordinates over F_p, constant coordinate first.  `FieldDesc(p, l)`
@@ -12,9 +13,10 @@ checks its arguments before it builds anything: p must be prime
 `FIELD_BOUND` = 2^20 elements (`EnumerationBoundError`).  It then builds
 three discrete-log tables, and all arithmetic reads them: multiplication
 adds logarithms, addition is XOR in characteristic 2 and uses Zech
-logarithms otherwise.  Polynomial arithmetic modulo m only finds the modulus
-and the generator g; the powers of g are then walked through the
-precomputed columns g * x^i mod m of the F_p-linear map a -> g a.
+logarithms otherwise.  Polynomial arithmetic over F_p only finds the modulus
+(trial division) and the generator g (`_pow_raw`, the package's
+square-and-multiply on products modulo m); the powers of g are then walked
+through the precomputed columns g * x^i mod m of the F_p-linear map a -> g a.
 
 The tables are public, for kernels that inline the arithmetic (the
 polynomial kernels of `polyalg`).  With Q = q^2 and n = Q - 1:
@@ -47,7 +49,7 @@ import itertools
 from functools import lru_cache
 from operator import mul
 
-from ._numth import EnumerationBoundError, is_prime, prime_factors
+from ._numth import EnumerationBoundError, is_prime, power, prime_factors
 
 __all__ = [
     "FIELD_BOUND",
@@ -101,58 +103,24 @@ def _pmod(a, b, p):
     return _ptrim(a[:db])
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _ptrim(out)
-
-
-def _ppowmod(a, e, m, p):
-    r = (1,)
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            r = _pmod(_pmul(r, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return r
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _p_irreducible(f, p):
-    """Rabin irreducibility test for monic f over F_p, deg f >= 1."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = (0, 1)
-    if _ppowmod(x, p**d, f, p) != _pmod(x, f, p):
-        return False
-    for r in prime_factors(d):
-        h = _psub(_ppowmod(x, p ** (d // r), f, p), x, p)
-        if len(_pgcd(h, f, p)) > 1:
-            return False
-    return True
-
-
 def _least_irreducible(p, degree):
     """Lexicographically least monic irreducible of the given degree over F_p.
 
     Coefficient vectors (c0, c1, ...) are compared from the constant term
-    upward; candidates with c0 = 0 are divisible by x and skipped.
+    upward.  By definition, the modulus is the first candidate with c0 != 0
+    (else x divides it) that no monic polynomial of degree 1 .. degree // 2
+    divides: a reducible polynomial has a factor of at most half its degree.
     """
+    divisors = [
+        tail + (1,)
+        for k in range(1, degree // 2 + 1)
+        for tail in itertools.product(range(p), repeat=k)
+    ]
     for tail in itertools.product(range(p), repeat=degree):
         if tail[0] == 0:
             continue
         f = tail + (1,)
-        if _p_irreducible(f, p):
+        if all(_pmod(f, g, p) for g in divisors):
             return f
     raise FieldInvariantError(f"no monic irreducible of degree {degree} over F_{p}")
 
@@ -224,13 +192,7 @@ class FieldDesc:
         return self.code_of(_pmod(prod, self.modulus, self.p))
 
     def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
+        return power(a, e, self._mul_raw) if e else 1
 
     # -- discrete-log tables ----------------------------------------------
 

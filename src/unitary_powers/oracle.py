@@ -48,13 +48,14 @@ the powered companion polynomial, whenever that companion exists.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from . import polyalg
-from ._numth import prime_power
+from ._numth import power, prime_power
 from .gf import FieldDesc, make_field
 from .polyalg import Poly
 from .series import group_order_U
@@ -131,23 +132,11 @@ class MatrixRep:
         return MatrixRep(self.desc, n, out)
 
     def __pow__(self, e: int) -> "MatrixRep":
-        # from the lowest set bit of e, so the identity is never a factor
         if e < 0:
             raise ValueError("negative matrix powers are not needed here")
         if e == 0:
             return MatrixRep.identity(self.desc, self.n)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul)  # a * b: each product is a __mul__ call
 
     def conj_transpose(self) -> "MatrixRep":
         n, cj = self.n, self.desc.conj_c

@@ -61,7 +61,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from ._numth import divisors, euler_phi, factorint, mult_order, prime_factors
+from ._numth import divisors, euler_phi, factorint, mult_order, order_dividing, power
 from .gf import FieldDesc, FieldElem
 
 __all__ = [
@@ -337,15 +337,9 @@ def gcd_poly(a: Poly, b: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
-    result = Poly.one(base.desc)
-    base = base % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        e >>= 1
-        if e:
-            base = (base * base) % modulus
-    return result
+    if e == 0:
+        return Poly.one(base.desc)
+    return power(base % modulus, e, lambda a, b: (a * b) % modulus)
 
 
 # ----------------------------------------------------------------------
@@ -468,14 +462,8 @@ def root_order(f: Poly) -> int:
     if not is_irreducible(f) or f.codes[0] == 0:
         raise ValueError("root order needs an irreducible polynomial with f(0) != 0")
     f = f.monic()
-    n = f.desc.order**f.degree - 1
-    one = Poly.one(f.desc)
-    x = Poly.t(f.desc)
-    t = n
-    for r in prime_factors(n):
-        while t % r == 0 and pow_mod(x, t // r, f) == one:
-            t //= r
-    return t
+    one, x = Poly.one(f.desc), Poly.t(f.desc)
+    return order_dividing(f.desc.order**f.degree - 1, lambda k: pow_mod(x, k, f) == one)
 
 
 def butler_pattern(d: int, t: int, m: int, Q: int) -> tuple[tuple[int, int], ...]:

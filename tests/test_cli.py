@@ -323,3 +323,44 @@ def test_field_invariant_failure_exits_four(monkeypatch, tmp_path):
     monkeypatch.setattr(gf, "_least_irreducible", lambda p, degree: (1, 0, 1))
     rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("args, option", [
+    (["counts", "--q", "2", "--M", "3", "--d-max", "-2"], "--d-max"),
+    (["series", "--q", "2", "--M", "3", "--T", "-1", "--family", "sep",
+      "--kind", "classes"], "--T"),
+    (["verify", "--q", "2", "--M", "3", "--n-max", "0"], "--n-max"),
+    (["verify", "--q", "2", "--M", "3", "--n-max", "-1"], "--n-max"),
+    (["table", "--q", "2", "--n-max", "-1"], "--n-max"),
+    (["table", "--q", "2", "--n-max", "0"], "--n-max"),
+    (["table", "--q", "2", "--n-max", "two"], "--n-max"),
+])
+def test_bad_row_counts_exit_one_naming_the_option(capsys, args, option):
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: argument {option}: must be an integer >= ")
+    assert len(err.splitlines()) == 1
+
+
+def test_zero_truncation_is_accepted(tmp_path):
+    rc, text = run(tmp_path, ["series", "--q", "2", "--M", "3", "--T", "0",
+                              "--family", "sep", "--kind", "classes"])
+    assert rc == 0 and [row["n"] for row in parse_csv(text)] == ["0"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["table", "--q", "2", "--n-max", "1", "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
+def test_failed_run_leaves_no_output_file(monkeypatch, tmp_path):
+    real = counts.count_pairs
+    monkeypatch.setattr(counts, "count_mpower_pairs",
+                        lambda q, d, M, **kw: real(q, d) + 1)
+    path = tmp_path / "x.txt"
+    assert main(["counts", "--q", "3", "--M", "2", "--d-max", "1", "--out", str(path)]) == 4
+    assert not path.exists()

@@ -1,15 +1,18 @@
 """F_q2: construction, table arithmetic, conjugation, norm-one circles, power maps."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import unitary_powers
 from unitary_powers import EnumerationBoundError, gf
+from unitary_powers._numth import is_prime, prime_factors
 from unitary_powers.gf import FieldDesc, FieldInvariantError, make_field
 
 F4 = make_field(2, 1, 1)
@@ -151,8 +154,8 @@ def broken_modulus(p, degree):
 
 def no_prime_factors_of_three(real):
     # with every prime factor of |F_4^*| = 3 replaced by 1, every candidate
-    # looks like a non-generator; the irreducibility test of the modulus
-    # still sees the true factors
+    # looks like a non-generator; the modulus search, by trial division,
+    # factors nothing
     return lambda n: [1] if n == 3 else real(n)
 
 
@@ -268,3 +271,84 @@ def test_zech_table_over_two_periods(desc):
 
 def test_characteristic_two_has_no_zech_table():
     assert F4.zech_table is None and F64.zech_table is None
+
+
+# Reference for the modulus search: Rabin's irreducibility test over F_p, on
+# its own dense arithmetic (coefficient lists, constant first), as gf used it
+# before it found the modulus by trial division.
+
+def _rtrim(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _rmod(a, f, p):
+    a = list(a)
+    for i in range(len(a) - 1, len(f) - 2, -1):
+        c = a[i] * pow(f[-1], -1, p) % p
+        for j, fj in enumerate(f):
+            a[i - len(f) + 1 + j] = (a[i - len(f) + 1 + j] - c * fj) % p
+    return _rtrim(a[: len(f) - 1])
+
+
+def _rmulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _rmod(out, f, p)
+
+
+def _rpowmod(a, e, f, p):
+    r = [1]
+    while e:
+        if e & 1:
+            r = _rmulmod(r, a, f, p)
+        a = _rmulmod(a, a, f, p)
+        e //= 2
+    return r
+
+
+def _rgcd(a, b, p):
+    while b:
+        a, b = b, _rmod(a, b, p)
+    return a
+
+
+def rabin_irreducible(f, p):
+    d = len(f) - 1
+    x = [0, 1]
+    if _rpowmod(x, p**d, f, p) != _rmod(x, f, p):
+        return False
+    for r in prime_factors(d):
+        h = _rpowmod(x, p ** (d // r), f, p) + [0, 0]
+        h[1] = (h[1] - 1) % p  # x^(p^(d/r)) - x
+        if len(_rgcd(f, _rtrim(h), p)) > 1:
+            return False
+    return True
+
+
+def rabin_least_irreducible(p, degree):
+    for tail in itertools.product(range(p), repeat=degree):
+        if tail[0] and rabin_irreducible(list(tail) + [1], p):
+            return tail + (1,)
+
+
+FIELDS_TO_2_16 = [
+    (p, l) for p in range(2, 257) if is_prime(p)
+    for l in range(1, 9) if p ** (2 * l) <= 1 << 16
+]
+
+
+def test_modulus_search_matches_rabin_reference():
+    assert len(FIELDS_TO_2_16) == 70
+    for p, l in FIELDS_TO_2_16:
+        assert gf._least_irreducible(p, 2 * l) == rabin_least_irreducible(p, 2 * l), (p, l)
+
+
+def test_modulus_of_the_largest_characteristic_two_field():
+    # F_2^20: the most trial divisors per candidate (2,046) of any field
+    start = time.perf_counter()
+    assert gf._least_irreducible(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert time.perf_counter() - start < 1
