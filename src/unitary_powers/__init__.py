@@ -44,7 +44,14 @@ from .counts import (
     s_prime,
     s_tilde_prime,
 )
-from .series import Series, binom_factor, euler_factor, group_order_GL, group_order_U
+from .series import (
+    Series,
+    SeriesInvariantError,
+    binom_factor,
+    euler_factor,
+    group_order_GL,
+    group_order_U,
+)
 from .genfun import (
     Family,
     Kind,

@@ -10,8 +10,8 @@ Four subcommands, all emitting CSV or JSON with deterministic row order:
 
 Exit codes: 0 success / all checks pass, 1 usage error (including violated
 series hypotheses), 2 verification failure, 3 resource bound exceeded,
-4 internal invariant failure (a field, factorisation, count or oracle check
-failed; no result is printed, since none can be trusted).
+4 internal invariant failure (a field, factorisation, count, series or oracle
+check failed; no result is printed, since none can be trusted).
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ from .genfun import Family, Kind
 from .gf import FieldInvariantError
 from .oracle import OracleInvariantError
 from .polyalg import FactorisationError
-from .series import group_order_U
+from .series import SeriesInvariantError, group_order_U
 
 __all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 
 VERIFY_ORDER_BOUND = 100_000
 
 _INVARIANT_ERRORS = (
-    FieldInvariantError, FactorisationError, CountInvariantError, OracleInvariantError,
+    FieldInvariantError, FactorisationError, CountInvariantError, SeriesInvariantError,
+    OracleInvariantError,
 )
 
 _COUNT_COLUMNS = (

@@ -41,9 +41,10 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
-from ._numth import EnumerationBoundError, divisors, mobius, prime_power
+from ._numth import EnumerationBoundError, mobius, prime_factors, prime_power
 
 __all__ = [
     "CountInvariantError",
@@ -79,7 +80,13 @@ def _exact_quotient(total: int, d: int, what: str) -> int:
 def _exact_degree(Q: int, d: int, h: int) -> int:
     """E(Q, d, h): elements of degree exactly d over F_Q in the subgroup of
     order h of F_{Q^d}^*, for h | Q^d - 1 (see the module docstring)."""
-    return sum(mobius(l) * gcd(Q ** (d // l) - 1, h) for l in divisors(d))
+    # mu(l) vanishes off the squarefree l, the products of subsets of the
+    # primes of d, and is (-1)^(subset size) on them
+    primes, total = prime_factors(d), 0
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            total += (-1) ** r * gcd(Q ** (d // prod(subset)) - 1, h)
+    return total
 
 
 def count_scim(q: int, d: int) -> int:

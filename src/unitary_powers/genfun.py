@@ -6,6 +6,9 @@ that family lying in the image of the M-th power map, and an ELEMENTS series,
 whose z^n coefficient is the corresponding number of group elements divided
 by |U(n, q)|.  The element coefficients are sums of reciprocal centraliser
 orders over the qualifying classes, which is why they come out as proportions.
+An element series is built in the count form of `series`: each factor's
+z^n coefficient is stored as a class size, |U(n, q)| divided by the block
+centraliser, and that division must be exact (`SeriesInvariantError`).
 
 Every series is a product, over the polynomial families in `_FACTOR_TABLE`,
 of one factor per degree d raised to the family's count in that degree.  A
@@ -44,13 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
 from . import counts, polyalg, series
 from ._numth import is_prime
-from .series import Series, group_order_GL, group_order_U
+from .series import Series, SeriesInvariantError, group_order_GL, group_order_U
 
 if TYPE_CHECKING:
     from .oracle import ConjugacyDatum
@@ -134,7 +136,7 @@ def series_for(request: SeriesRequest) -> Series:
     """The series of `request`, truncated at z^T."""
     q, M, T, family, kind = request.q, request.M, request.T, request.family, request.kind
     rows = _FACTOR_TABLE if family is Family.SEMISIMPLE else _FACTOR_TABLE[:2]
-    s = series.one(T)
+    s = series.one(T, None if kind is Kind.CLASSES else q)
     for count, pair, by_M in rows:
         step = M if by_M else 1
         # SCIMs have odd degree; pairs have every degree and blocks of twice it
@@ -148,20 +150,23 @@ def series_for(request: SeriesRequest) -> Series:
 def _factor_power(
     q: int, d: int, pair: bool, step: int, family: Family, kind: Kind, e: int, T: int
 ) -> Series:
-    """The degree-d factor of one table row, raised to the family count e."""
+    """The degree-d factor of one table row, raised to the family count e; an
+    element factor's coefficients are the class sizes of its blocks."""
     block = 2 * d if pair else d
-    if family is Family.SEPARABLE:
-        if kind is Kind.CLASSES:
-            return series.binom_factor(block, 1, e, T)
-        weight = Fraction(1, _block_centraliser(q, d, pair, False, 1))
-        return series.binom_factor(block, weight, e, T)
     if kind is Kind.CLASSES:
+        if family is Family.SEPARABLE:
+            return series.binom_factor(block, 1, e, T)
         return series.binom_factor(block * step, 1, -e, T)
+    if family is Family.SEPARABLE:
+        size = _class_size(q, block, _block_centraliser(q, d, pair, False, 1))
+        return series.binom_factor(block, size, e, T, q)
     semisimple = family is Family.SEMISIMPLE
-    f = series.euler_factor(
-        block, lambda m: _block_centraliser(q, d, pair, semisimple, m * step), step, T
-    )
-    return f**e
+
+    def size(m):  # the class of the block with multiplicity m * step
+        n = block * m * step
+        return _class_size(q, n, _block_centraliser(q, d, pair, semisimple, m * step))
+
+    return series.euler_factor(block, size, step, T, q) ** e
 
 
 def sep_class_series(q: int, M: int, T: int) -> Series:
@@ -207,6 +212,16 @@ def _block_centraliser(q: int, d: int, pair: bool, semisimple: bool, m: int) -> 
         return group_order_GL(m, Q) if semisimple else Q ** (m - 1) * (Q - 1)
     r = q**d
     return group_order_U(m, r) if semisimple else r ** (m - 1) * (r + 1)
+
+
+def _class_size(q: int, n: int, centraliser: int) -> int:
+    """|U(n, q)| / centraliser, which must divide exactly."""
+    size, rem = divmod(group_order_U(n, q), centraliser)
+    if rem:
+        raise SeriesInvariantError(
+            f"centraliser order {centraliser} does not divide |U({n}, {q})|"
+        )
+    return size
 
 
 def centralizer_order(datum: "ConjugacyDatum", q: int) -> int:

@@ -110,11 +110,13 @@ def _least_irreducible(p, degree):
     upward.  By definition, the modulus is the first candidate with c0 != 0
     (else x divides it) that no monic polynomial of degree 1 .. degree // 2
     divides: a reducible polynomial has a factor of at most half its degree.
+    Divisors g with g(0) = 0 are skipped: they cannot divide an f with f(0) != 0.
     """
     divisors = [
         tail + (1,)
         for k in range(1, degree // 2 + 1)
         for tail in itertools.product(range(p), repeat=k)
+        if tail[0]
     ]
     for tail in itertools.product(range(p), repeat=degree):
         if tail[0] == 0:

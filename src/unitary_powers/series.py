@@ -1,34 +1,35 @@
-"""Truncated formal power series with exact rational coefficients, plus the
-orders of the finite unitary and general linear groups that appear as
-centraliser sizes.
+"""Truncated formal power series in count form, plus the orders of the
+finite unitary and general linear groups that appear as centraliser sizes.
 
-A `Series` holds the coefficients of z^0 .. z^T as integer numerators over
-one common denominator: `num` is a tuple of T + 1 ints and `den` a positive
-int, reduced so that gcd(den, *num) = 1.  That form is unique, so two series
-are equal exactly when their (truncation, num, den) are.  `coeff(n)` and
-`coeffs` give the values as `fractions.Fraction`.  A product convolves the
-numerators, multiplies the denominators and reduces once, where a
-`Fraction` per coefficient would reduce every partial product.  Ring
-operations never extend past T and never touch floating point.
+A `Series` holds integers N_0 .. N_T with N_0 = 1, and the weights `q` it is
+read with.  A class series (q = None) has N_n as its z^n coefficient.  An
+element series has N_n / |U(n, q)|: its coefficient is a sum of 1 / |C_U|
+over classes of U(n, q), so N_n, the sum of those class sizes, is the
+number of elements of U(n, q) in the tally.  `coeff(n)` and `coeffs` give
+the coefficients as `fractions.Fraction`; no operation touches floating
+point or extends past T.
 
-A power runs Miller's recurrence on integers.  Write self = z^s h / D with
-h_0 != 0, and u = h / h_0 = 1 + w with w_j = wn_j / wd_j in lowest terms.
-For every integer e, u^e = sum over m of C(e, m) w^m with integer C(e, m),
-and the z^k coefficient of w^m is a sum of products w_(j_1) ... w_(j_m)
-with j_1 + ... + j_m = k.  By induction on k, the denominators of those
-products divide B_k, where B_0 = 1 and B_k is the lcm over the terms j <= k
-of wd_j B_(k-j).  So g = u^e has g_k = G_k / B_k with integer G_k, and
-Miller's k g_k = sum ((e + 1) j - k) w_j g_(k-j) becomes
+A product is the weighted convolution H_n = sum over i of c(n, i) A_i B_(n-i),
+with c = 1 for classes and, for elements, the U-binomial
 
-    k G_k = sum over j of ((e + 1) j - k) wn_j G_(k-j) B_k / (wd_j B_(k-j)),
+    c(n, i) = |U(n, q)| / (|U(i, q)| |U(n-i, q)|) = (-q)^(i(n-i)) [n choose i]_(-q).
 
-whose quotients are integers and whose division by k is exact.  B_k grows
-like the true denominators: for an Euler factor with w_j = 1 / |U(j, q)| it
-divides |U(k, q)| (a block-diagonal subgroup's order divides the group's),
-where the cruder bound h_0^k would be |U(T, q)|^k; at T = 100 that is the
-difference between about a second and a minute.
-The scale (h_0 / D)^e is reduced before it is raised: e reaches about 10^5
-here, and the unreduced powers would be integers of megabits.
+It is an integer: |U(n, q)| = q^(n(n-1)/2) prod over j <= n of (q^j - (-1)^j)
+and q^j - (-1)^j = (-1)^j ((-q)^j - 1), so the quotient is a Gaussian
+binomial at -q times a power of -q.  Pascal's rule [n, i] = [n-1, i-1] +
+x^i [n-1, i] at x = -q gives c(n, i) = x^(n-i) c(n-1, i-1) + x^(2i) c(n-1, i),
+which builds the table with no division.
+
+A power runs J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  For
+g = f^e with f_0 = 1, k g_k = sum over j of ((e + 1) j - k) f_j g_(k-j); times
+|U(k, q)| it reads
+
+    k G_k = sum over j of ((e + 1) j - k) c(k, j) F_j G_(k-j).
+
+The division by k is exact for every integer e: G_k is an integer, since a
+product of count-form series is one and so is an inverse (F_0 = 1 gives
+H_n = -sum over i >= 1 of c(n, i) F_i H_(n-i)).  A remainder can only mean
+a broken table and raises `SeriesInvariantError`.
 
 Infinite products are handled by the callers: a factor 1 + O(z^(T+1))
 contributes nothing below the truncation, so only finitely many factors
@@ -38,11 +39,13 @@ matter and the truncated result is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Union
+from functools import lru_cache
+from operator import index
+from typing import Callable, Optional
 
 __all__ = [
     "Series",
+    "SeriesInvariantError",
     "one",
     "binom_factor",
     "euler_factor",
@@ -50,192 +53,143 @@ __all__ = [
     "group_order_GL",
 ]
 
-Rational = Union[int, Fraction]
+
+class SeriesInvariantError(RuntimeError):
+    """A division that the count form makes exact left a remainder: a Miller
+    step of a power, or a class size |U(n, q)| / |C_U|."""
+
+
+@lru_cache(maxsize=16)
+def _weights(q: Optional[int], T: int) -> tuple[tuple[int, ...], ...]:
+    """Rows n = 0..T of c(n, i), i = 0..n: all 1 for q = None, else the
+    U-binomials at q by Pascal's rule (module docstring)."""
+    if q is None:
+        return tuple((1,) * (n + 1) for n in range(T + 1))
+    x = [(-q) ** k for k in range(2 * T + 1)]
+    rows = [(1,)]
+    for n in range(1, T + 1):
+        prev = rows[-1] + (0,)
+        rows.append(tuple(
+            (x[n - i] * prev[i - 1] if i else 0) + x[2 * i] * prev[i] for i in range(n + 1)
+        ))
+    return tuple(rows)
 
 
 class Series:
-    """Power series truncated at z^truncation: integer numerators `num` over
-    one positive denominator `den`, in lowest terms.  Immutable by
-    convention; the ring operations build new series."""
+    """Power series truncated at z^truncation in count form: integers
+    `counts` with counts[0] = 1, read with the weights of `q` (None for a
+    class series).  Immutable by convention; the ring operations build new
+    series."""
 
-    __slots__ = ("truncation", "num", "den")
+    __slots__ = ("truncation", "counts", "q")
 
-    def __init__(self, truncation: int, coeffs):
-        """The series with coefficients `coeffs` (ints or Fractions) of
-        z^0 .. z^truncation."""
+    def __init__(self, truncation: int, counts, q: Optional[int] = None):
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        if len(coeffs) != truncation + 1:
-            raise ValueError("coefficient vector does not match the truncation")
-        values = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in values))
+        if len(counts) != truncation + 1:
+            raise ValueError("count vector does not match the truncation")
+        if counts[0] != 1:
+            raise ValueError(f"constant term must be 1, got {counts[0]}")
         self.truncation = truncation
-        self.num = tuple(c.numerator * (den // c.denominator) for c in values)
-        self.den = den
+        self.counts = tuple(index(n) for n in counts)
+        self.q = q
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient index {n} beyond truncation {self.truncation}")
-        return Fraction(self.num[n], self.den)
+        return Fraction(self.counts[n], 1 if self.q is None else group_order_U(n, self.q))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
+        return tuple(self.coeff(n) for n in range(self.truncation + 1))
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.truncation, self.num, self.den) == (other.truncation, other.num, other.den)
+        return (self.truncation, self.q, self.counts) == (other.truncation, other.q, other.counts)
 
     def __hash__(self):
-        return hash((self.truncation, self.num, self.den))
-
-    def _match(self, other: "Series"):
-        if self.truncation != other.truncation:
-            raise ValueError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other: "Series") -> "Series":
-        self._match(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return _reduced(self.truncation, [a * x + b * y for x, y in zip(self.num, other.num)], den)
-
-    def __neg__(self) -> "Series":
-        return _reduced(self.truncation, [-x for x in self.num], self.den)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        return hash((self.truncation, self.q, self.counts))
 
     def __mul__(self, other: "Series") -> "Series":
-        self._match(other)
         T = self.truncation
-        terms = [(j, y) for j, y in enumerate(other.num) if y]
+        if (T, self.q) != (other.truncation, other.q):
+            raise ValueError(
+                f"truncation or weights differ: (T, q) = {(T, self.q)} vs "
+                f"{(other.truncation, other.q)}"
+            )
+        c = _weights(self.q, T)
+        terms = [(j, y) for j, y in enumerate(other.counts) if y]
         out = [0] * (T + 1)
-        for i, x in enumerate(self.num):
+        for i, x in enumerate(self.counts):
             if x:
                 for j, y in terms:
                     if i + j > T:
                         break
-                    out[i + j] += x * y
-        return _reduced(T, out, self.den * other.den)
+                    out[i + j] += c[i + j][i] * x * y
+        return _series(T, out, self.q)
 
     def __pow__(self, e: int) -> "Series":
-        """self ** e by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7),
-        on integers as the module docstring sets out.  Negative e needs a
-        nonzero constant term."""
+        """self ** e for any integer e, by Miller's recurrence on integers as
+        the module docstring sets out."""
         T = self.truncation
-        if e == 0:
-            return one(T)
-        s = next((i for i, c in enumerate(self.num) if c), T + 1)
-        if e < 0 and s:
-            raise ValueError("a series with zero constant term has no negative powers")
-        shift = s * e
-        out = [0] * (T + 1)
-        if shift > T:
-            return _reduced(T, out, 1)
-        K = T - shift
-        h = self.num[s : s + K + 1]
-        h0 = h[0]
-        # u = h / h_0 = 1 + sum of w_j z^j, w_j = wn_j / wd_j in lowest terms
-        terms = []
-        for j in range(1, K + 1):
-            if h[j]:
-                r = gcd(h[j], h0)
-                wn, wd = h[j] // r, h0 // r
-                terms.append((j, wn, wd) if wd > 0 else (j, -wn, -wd))
-        # g = u^e has g_k = G_k / B_k with integer G_k; B_k = 0 marks a k that
-        # no sum of term degrees reaches, where g_k = 0
-        B, G = [1] + [0] * K, [1] + [0] * K
-        for k in range(1, K + 1):
-            bk = 0
-            for j, _, wd in terms:
+        c = _weights(self.q, T)
+        terms = [(j, f) for j, f in enumerate(self.counts) if j and f]
+        G = [1] + [0] * T
+        for k in range(1, T + 1):
+            ck, acc = c[k], 0
+            for j, f in terms:
                 if j > k:
                     break
-                if B[k - j]:
-                    bk = lcm(bk, wd * B[k - j]) if bk else wd * B[k - j]
-            if not bk:
-                continue
-            B[k] = bk
-            acc = 0
-            for j, wn, wd in terms:
-                if j > k:
-                    break
-                # terms with g_(k-j) = 0 add nothing (for a factor in z^D, g
-                # vanishes off the multiples of D), so they are not formed
+                # for a factor in z^D, G vanishes off the multiples of D
                 if G[k - j]:
-                    acc += ((e + 1) * j - k) * wn * G[k - j] * (bk // (wd * B[k - j]))
+                    acc += ((e + 1) * j - k) * ck[j] * f * G[k - j]
             G[k], r = divmod(acc, k)
             if r:
-                raise ArithmeticError(f"Miller step {k} of a power does not divide exactly")
-        # self ** e = z^shift (a / b)^e g, with a / b = h_0 / D in lowest terms
-        g0 = gcd(h0, self.den)
-        a, b = h0 // g0, self.den // g0
-        if e < 0:
-            a, b, e = b, a, -e
-        scale, L = a**e, lcm(*(x for x in B if x))
-        for k in range(K + 1):
-            if G[k]:
-                out[shift + k] = scale * G[k] * (L // B[k])
-        return _reduced(T, out, b**e * L)
+                raise SeriesInvariantError(f"Miller step {k} of a power does not divide exactly")
+        return _series(T, G, self.q)
 
     def __repr__(self):
-        return f"Series(truncation={self.truncation}, num={self.num}, den={self.den})"
+        return f"Series(truncation={self.truncation}, counts={self.counts}, q={self.q})"
 
     def __str__(self):
-        return " + ".join(f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c) or "0"
+        return " + ".join(f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c)
 
 
-def _reduced(T: int, num: list, den: int) -> Series:
-    """Internal constructor: the series num / den (den != 0) in lowest terms,
-    without the conversions of `Series.__init__`."""
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
+def _series(T: int, counts: list, q: Optional[int]) -> Series:
+    """Internal constructor for the results of the ring operations, whose
+    counts are ints with counts[0] = 1, without the checks of `__init__`."""
     s = object.__new__(Series)
-    s.truncation = T
-    s.num = tuple(x // g for x in num) if g != 1 else tuple(num)
-    s.den = den // g
+    s.truncation, s.counts, s.q = T, tuple(counts), q
     return s
 
 
-def one(T: int) -> Series:
-    return _reduced(T, [1] + [0] * T, 1)
+def one(T: int, q: Optional[int] = None) -> Series:
+    return Series(T, [1] + [0] * T, q)
 
 
-def binom_factor(d: int, c: Rational, e: int, T: int) -> Series:
-    """(1 + c z^d)^e for e >= 0, and (1 - c z^d)^e for e < 0, truncated at T."""
+def binom_factor(d: int, count: int, e: int, T: int, q: Optional[int] = None) -> Series:
+    """(1 + count z^d)^e for e >= 0, and (1 - count z^d)^e for e < 0, in
+    count form under the weights of q, truncated at T."""
     if d < 1:
         raise ValueError("d must be positive")
-    den = c.denominator
-    out = [0] * (T + 1)
-    out[0] = den
+    out = [1] + [0] * T
     if d <= T:
-        out[d] = c.numerator if e >= 0 else -c.numerator
-    return _reduced(T, out, den) ** e
+        out[d] = count if e >= 0 else -count
+    return Series(T, out, q) ** e
 
 
-def euler_factor(d: int, denoms: Callable[[int], Rational], step: int, T: int) -> Series:
-    """1 + sum over m >= 1 with d*m*step <= T of z^(d*m*step) / denoms(m)."""
+def euler_factor(
+    d: int, sizes: Callable[[int], int], step: int, T: int, q: Optional[int] = None
+) -> Series:
+    """1 + sum over m >= 1 with d*m*step <= T of sizes(m) z^(d*m*step), in
+    count form under the weights of q."""
     if d < 1 or step < 1:
         raise ValueError("d and step must be positive")
-    values = []
-    m = 1
-    while d * m * step <= T:
-        v = denoms(m)
-        if v == 0:
-            raise ZeroDivisionError(f"euler_factor denominator vanishes at m={m}")
-        values.append(v)
-        m += 1
-    # 1 / v = v.denominator / v.numerator, over the lcm of the numerators
-    den = lcm(*(v.numerator for v in values))
-    out = [0] * (T + 1)
-    out[0] = den
-    for m, v in enumerate(values, 1):
-        out[d * m * step] = v.denominator * (den // v.numerator)
-    return _reduced(T, out, den)
+    out = [1] + [0] * T
+    for n in range(d * step, T + 1, d * step):
+        out[n] = sizes(n // (d * step))
+    return Series(T, out, q)
 
 
 def group_order_U(n: int, q: int) -> int:

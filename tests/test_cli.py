@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitary_powers import counts, gf, oracle, polyalg
+from unitary_powers import counts, genfun, gf, oracle, polyalg, series
 from unitary_powers.cli import main
 
 
@@ -323,6 +323,28 @@ def test_field_invariant_failure_exits_four(monkeypatch, tmp_path):
     monkeypatch.setattr(gf, "_least_irreducible", lambda p, degree: (1, 0, 1))
     rc = main(["table", "--q", "2", "--n-max", "1", "--out", str(tmp_path / "x.txt")])
     assert rc == 4
+
+
+def _weights_one_off(real):
+    # c(n, 1) one too large for n >= 3: no longer the U-binomials
+    def broken(q, T):
+        return tuple(row if len(row) < 4 else (row[0], row[1] + 1, *row[2:])
+                     for row in real(q, T))
+    return broken
+
+
+@pytest.mark.parametrize("target, fake", [
+    (genfun, ("_block_centraliser", lambda *args: 2)),  # 2 does not divide |U(1, 2)|
+    (series, ("_weights", _weights_one_off(series._weights))),  # an inexact Miller step
+])
+def test_series_invariant_failure_exits_four(monkeypatch, capsys, target, fake):
+    monkeypatch.setattr(target, *fake)
+    rc = main(["series", "--q", "2", "--M", "3", "--family", "cyc", "--kind", "elements",
+               "--T", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert "SeriesInvariantError" in err
 
 
 @pytest.mark.parametrize("args, option", [

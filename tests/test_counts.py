@@ -228,13 +228,14 @@ def test_count_record_rejects_inconsistency():
                     s_tilde_prime=1, s_prime=0)
 
 
-def only_the_first_mobius_term(l):
-    # keeps the l = 1 term: N~(2, 5) then sums to 2^5 + 1 = 33, not a multiple of 5
-    return 1 if l == 1 else 0
+def only_the_first_mobius_term(d):
+    # no primes of d leaves only the l = 1 term: N~(2, 5) then sums to
+    # 2^5 + 1 = 33, not a multiple of 5
+    return ()
 
 
 def test_non_integral_count_raises(monkeypatch):
-    monkeypatch.setattr(counts, "mobius", only_the_first_mobius_term)
+    monkeypatch.setattr(counts, "prime_factors", only_the_first_mobius_term)
     with pytest.raises(CountInvariantError):
         count_scim(2, 5)
 
@@ -243,7 +244,7 @@ def test_non_integral_count_check_survives_python_O():
     code = (
         "import sys\n"
         "from unitary_powers import CountInvariantError, counts\n"
-        "counts.mobius = lambda l: 1 if l == 1 else 0\n"
+        "counts.prime_factors = lambda d: ()\n"
         "try:\n"
         "    counts.count_scim(2, 5)\n"
         "except CountInvariantError:\n"

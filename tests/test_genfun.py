@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitary_powers import genfun
 from unitary_powers.counts import PAIR_FIELD_BOUND
 from unitary_powers.genfun import (
     Family,
@@ -25,7 +26,7 @@ from unitary_powers.genfun import (
 from unitary_powers.gf import make_field
 from unitary_powers.oracle import ConjugacyDatum, MatrixRep, datum_of
 from unitary_powers.polyalg import Poly
-from unitary_powers.series import binom_factor, group_order_U, one
+from unitary_powers.series import SeriesInvariantError, binom_factor, group_order_U
 
 F4 = make_field(2, 1, 1)
 
@@ -124,16 +125,27 @@ def test_class_series_coefficients_are_integers():
 
 @pytest.mark.parametrize("q,d", [(2, 1), (2, 3), (3, 1), (3, 2)])
 def test_cyclic_factor_equals_its_rational_closed_form(q, d):
-    # 1 + z^d / ((q^d + 1)(1 - (z/q)^d)) expanded as a geometric series must
-    # reproduce the term-by-term centraliser reciprocals
-    from unitary_powers.series import euler_factor
-
+    # a cyclic block of degree b whose centraliser at multiplicity m is
+    # r^(m-1) s has the factor 1 + z^b / (s (1 - z^b / r)); expanded here in
+    # Fractions, it must equal the factor built from class sizes.  A SCIM
+    # (odd d only) has b = d, r = q^d, s = q^d + 1; a pair has b = 2d,
+    # r = q^(2d), s = q^(2d) - 1.
     T = 9
-    geometric = binom_factor(d, Fraction(1, q**d), -1, T)
-    bump = binom_factor(d, Fraction(1, q**d + 1), 1, T) - one(T)
-    closed = one(T) + bump * geometric
-    expanded = euler_factor(d, lambda m: q ** (d * (m - 1)) * (q**d + 1), 1, T)
-    assert closed == expanded
+    blocks = [(True, 2 * d, q ** (2 * d), q ** (2 * d) - 1)]
+    if d % 2:
+        blocks.append((False, d, q**d, q**d + 1))
+    for pair, b, r, s in blocks:
+        closed = [Fraction(1)] + [Fraction(0)] * T
+        for m in range(1, T // b + 1):
+            closed[b * m] = Fraction(1, s * r ** (m - 1))
+        factor = genfun._factor_power(q, d, pair, 1, Family.CYCLIC, Kind.ELEMENTS, 1, T)
+        assert factor.coeffs == tuple(closed), pair
+
+
+def test_class_size_must_divide_exactly():
+    assert genfun._class_size(2, 2, 6) == 3
+    with pytest.raises(SeriesInvariantError):
+        genfun._class_size(2, 1, 2)  # 2 does not divide |U(1, 2)| = 3
 
 
 # ----------------------------------------------------------------------

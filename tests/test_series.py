@@ -1,15 +1,17 @@
-"""Truncated series ring and group orders."""
+"""Truncated series in count form, the U-binomial weights, and group orders."""
 
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitary_powers import series
 from unitary_powers.series import (
     Series,
+    SeriesInvariantError,
     binom_factor,
     euler_factor,
     group_order_GL,
@@ -17,31 +19,42 @@ from unitary_powers.series import (
     one,
 )
 
+WEIGHTS = (None, 2, 3, 4, 9)  # class weights, then the element weights of q
 
-def coeffs(*values):
-    return tuple(Fraction(v) for v in values)
+
+def _count(c, n, q):
+    """The count of a z^n coefficient c under the weights of q."""
+    count = Fraction(c) * (1 if q is None else group_order_U(n, q))
+    assert count.denominator == 1
+    return int(count)
 
 
 def test_one_is_multiplicative_identity():
-    s = Series(5, coeffs(1, 2, 3, 4, 5, 6))
-    assert one(5) * s == s
-    assert s * one(5) == s
+    for q in WEIGHTS:
+        s = Series(5, (1, 2, 3, 4, 5, 6), q)
+        assert one(5, q) * s == s
+        assert s * one(5, q) == s
 
 
 def test_basic_ring_identities():
     T = 5
-    a = Series(T, coeffs(1, 1, 0, 0, 0, 0))   # 1 + z
-    b = Series(T, coeffs(1, -1, 0, 0, 0, 0))  # 1 - z
-    assert a * b == Series(T, coeffs(1, 0, -1, 0, 0, 0))
-    s = Series(T, coeffs(0, 3, 0, Fraction(1, 7), 0, 2))
-    assert s + -s == Series(T, coeffs(0, 0, 0, 0, 0, 0))
+    a = Series(T, (1, 1, 0, 0, 0, 0))   # 1 + z
+    b = Series(T, (1, -1, 0, 0, 0, 0))  # 1 - z
+    assert a * b == Series(T, (1, 0, -1, 0, 0, 0))
+    # the same under the weights of q = 2: (1 + z/3)(1 - z/3) = 1 - z^2/9,
+    # and z^2/9 = 2 z^2 / |U(2, 2)|
+    a, b = Series(T, a.counts, 2), Series(T, b.counts, 2)
+    assert a * b == Series(T, (1, 0, -2, 0, 0, 0), 2)
+    assert (a * b).coeffs == (1, 0, Fraction(-1, 9), 0, 0, 0)
 
 
 def test_truncation_mismatch_is_an_error():
     with pytest.raises(ValueError):
-        one(3) + one(4)
-    with pytest.raises(ValueError):
         one(3) * one(4)
+    with pytest.raises(ValueError):
+        one(3) * one(3, 2)  # class weights against element weights
+    with pytest.raises(ValueError):
+        one(3, 2) * one(3, 3)
 
 
 def test_coeff_bounds():
@@ -52,31 +65,36 @@ def test_coeff_bounds():
 
 
 def test_binom_factor_examples():
-    assert binom_factor(1, 1, 2, 3) == Series(3, coeffs(1, 2, 1, 0))
-    assert binom_factor(2, 1, -1, 6) == Series(6, coeffs(1, 0, 1, 0, 1, 0, 1))
-    assert binom_factor(1, Fraction(1, 3), 1, 2) == Series(2, coeffs(1, Fraction(1, 3), 0))
+    assert binom_factor(1, 1, 2, 3) == Series(3, (1, 2, 1, 0))
+    assert binom_factor(2, 1, -1, 6) == Series(6, (1, 0, 1, 0, 1, 0, 1))
+    assert binom_factor(1, 1, 1, 2, 2).coeffs == (1, Fraction(1, 3), 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("c", [1, 2, Fraction(1, 3), Fraction(-2, 5)])
 @pytest.mark.parametrize("e", [1, 2, 5])
 def test_binom_factor_inverse_pairs(d, c, e):
-    # (1 + c z^d)^e * (1 - (-c) z^d)^(-e) = 1 up to the truncation
+    # (1 + c z^d)^e * (1 - (-c) z^d)^(-e) = 1 up to the truncation; a
+    # fractional c is read under the weights of q = its denominator - 1,
+    # which divides |U(d, q)| as the factor q + 1
     T = 8
-    assert binom_factor(d, c, e, T) * binom_factor(d, -c, -e, T) == one(T)
+    q = None if Fraction(c).denominator == 1 else Fraction(c).denominator - 1
+    n = _count(c, d, q)
+    power = binom_factor(d, n, e, T, q)
+    assert power * binom_factor(d, -n, -e, T, q) == one(T, q)
+    want = [Fraction(0)] * (T + 1)
+    for k in range(T // d + 1):
+        want[d * k] = comb(e, k) * Fraction(c) ** k
+    assert power.coeffs == tuple(want)
 
 
 def test_euler_factor_with_unitary_orders():
-    got = euler_factor(1, lambda m: group_order_U(m, 2), 1, 2)
-    assert got == Series(2, coeffs(1, Fraction(1, 3), Fraction(1, 18)))
+    # sum of z^m / |U(m, 2)|: every class size |U(m, 2)| / |U(m, 2)| is 1
+    got = euler_factor(1, lambda m: 1, 1, 2, 2)
+    assert got.coeffs == (1, Fraction(1, 3), Fraction(1, 18))
     assert euler_factor(2, lambda m: 7, 3, 5) == one(5)  # T < d * step
-    got = euler_factor(1, lambda m: group_order_U(3 * m, 2), 3, 3)
-    assert got == Series(3, coeffs(1, 0, 0, Fraction(1, 648)))
-
-
-def test_euler_factor_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        euler_factor(1, lambda m: 0, 1, 3)
+    got = euler_factor(1, lambda m: 1, 3, 3, 2)
+    assert got.coeffs == (1, 0, 0, Fraction(1, 648))
 
 
 def test_group_order_U_values():
@@ -110,44 +128,67 @@ def test_group_order_GL_matches_brute_force_over_f4():
 
 
 def test_series_coefficients_are_exact_fractions():
-    s = euler_factor(1, lambda m: group_order_U(m, 2), 1, 6)
+    s = euler_factor(1, lambda m: 1, 1, 6, 2)
     assert all(isinstance(c, Fraction) for c in s.coeffs)
-    t = binom_factor(1, Fraction(1, 3), 3, 6)
+    t = binom_factor(1, 1, 3, 6, 2)
     assert all(isinstance(c, Fraction) for c in (s * t).coeffs)
+    assert all(isinstance(c, Fraction) for c in binom_factor(1, 1, -3, 6).coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_weights_are_the_U_binomials(q):
+    # c(n, i) |U(i, q)| |U(n - i, q)| = |U(n, q)| for the Pascal-built table
+    T = 100
+    orders = [group_order_U(n, q) for n in range(T + 1)]
+    for n, row in enumerate(series._weights(q, T)):
+        assert len(row) == n + 1
+        assert all(c * orders[i] * orders[n - i] == orders[n] for i, c in enumerate(row)), n
+    assert series._weights(None, 4) == tuple((1,) * (n + 1) for n in range(5))
+
+
+def count_series(T, q):
+    """Random count-form series: constant term 1, counts in -50..50."""
+    tail = st.lists(st.integers(-50, 50), min_size=T, max_size=T)
+    return tail.map(lambda counts: Series(T, (1, *counts), q))
 
 
 @st.composite
 def power_case(draw):
-    """(F, e): a random series whose constant term is 0, 1 or another nonzero
-    rational, and an exponent 0..8."""
-    T = draw(st.integers(0, 7))
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-    f0 = draw(st.sampled_from((Fraction(0), Fraction(1), None)))
-    if f0 is None:
-        f0 = draw(rationals.filter(lambda c: c not in (0, 1)))
-    tail = draw(st.lists(rationals, min_size=T, max_size=T))
-    return Series(T, (f0, *tail)), draw(st.integers(0, 8))
+    """(F, e): a random count-form series and an exponent 0..8."""
+    T, q = draw(st.integers(0, 7)), draw(st.sampled_from(WEIGHTS))
+    return draw(count_series(T, q)), draw(st.integers(0, 8))
 
 
 @settings(deadline=None)
 @given(power_case())
 def test_power_is_repeated_multiplication(case):
     F, e = case
-    product = one(F.truncation)
+    product = one(F.truncation, F.q)
     for _ in range(e):
         product = product * F
     assert F**e == product
-    if F.coeff(0):
-        assert F**e * F ** (-e) == one(F.truncation)
+    assert F**e * F ** (-e) == one(F.truncation, F.q)
 
 
 def test_negative_power_needs_a_nonzero_constant_term():
-    F = Series(3, coeffs(0, 1, 2, 0))
-    with pytest.raises(ValueError):
-        F ** (-1)
-    with pytest.raises(ValueError):
-        Series(3, coeffs(0, 0, 0, 0)) ** (-2)
-    assert F**2 == Series(3, coeffs(0, 0, 1, 4))
+    # every series has constant term 1, so every series has negative powers:
+    # a constant term of 0, or any other than 1, is refused when it is built
+    for constant in (0, 2, -1, Fraction(1, 2)):
+        for q in (None, 2):
+            with pytest.raises(ValueError):
+                Series(3, (constant, 1, 2, 0), q)
+    with pytest.raises(TypeError):
+        Series(1, (1, Fraction(1, 3)))  # counts are integers
+    assert Series(3, (1, 0, 0, 0)) ** (-2) == one(3)
+
+
+def test_an_inexact_miller_step_raises(monkeypatch):
+    # a weight table that is not the U-binomials leaves a remainder
+    # (c(3, 1) is 13, not 12, at q = 2)
+    broken = ((1,), (1, 1), (1, 2, 1), (1, 13, 12, 1))
+    monkeypatch.setattr(series, "_weights", lambda q, T: broken)
+    with pytest.raises(SeriesInvariantError):
+        Series(3, (1, 1, 1, 0), 2) ** 4
 
 
 # ----------------------------------------------------------------------
@@ -181,65 +222,42 @@ def _ref_pow(a, e):
 
 @st.composite
 def ring_case(draw):
-    """(a, b, e): coefficient lists of one length T + 1 <= 8 whose constant
-    terms are 0, 1 or a rational other than 0 and +-1, and an exponent
-    -8..8."""
-    T = draw(st.integers(0, 7))
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-    non_unit = rationals.filter(lambda c: c not in (0, 1, -1))
-    constant = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), non_unit)
-    a, b = ([draw(constant)] + draw(st.lists(rationals, min_size=T, max_size=T))
-            for _ in range(2))
-    return a, b, draw(st.integers(-8, 8))
-
-
-def _in_lowest_terms(s):
-    return s.den > 0 and gcd(s.den, *s.num) == 1
+    """(A, B, e): random count-form series of one length T + 1 <= 8 under
+    one weight table, and an exponent -8..8."""
+    T, q = draw(st.integers(0, 7)), draw(st.sampled_from(WEIGHTS))
+    return draw(count_series(T, q)), draw(count_series(T, q)), draw(st.integers(-8, 8))
 
 
 @settings(deadline=None)
 @given(ring_case())
 def test_ring_operations_match_the_schoolbook_reference(case):
-    a, b, e = case
-    T = len(a) - 1
-    A, B = Series(T, a), Series(T, b)
-    results = {
-        "+": (A + B, [x + y for x, y in zip(a, b)]),
-        "-": (A - B, [x - y for x, y in zip(a, b)]),
-        "neg": (-A, [-x for x in a]),
-        "*": (A * B, _ref_mul(a, b)),
-    }
-    if e >= 0 or a[0]:
-        results["**"] = (A**e, _ref_pow(a, e))
-    else:
-        with pytest.raises(ValueError):
-            A**e
-    for op, (got, want) in results.items():
-        assert got.coeffs == tuple(want), op
-        assert got == Series(T, want), op
-        assert _in_lowest_terms(got), op
+    A, B, e = case
+    a, b = list(A.coeffs), list(B.coeffs)
+    assert (A * B).coeffs == tuple(_ref_mul(a, b))
+    assert (A**e).coeffs == tuple(_ref_pow(a, e))
 
 
 @pytest.mark.parametrize("x", [3, 2**20 - 1])
 @pytest.mark.parametrize("e", [10**5, -(10**5)])
 def test_huge_exponent_is_scaled_after_reduction(x, e):
-    # (1 + z/x)^e and (1 - z/x)^e at |e| = 10^5: the scale (x/x)^e must be
-    # reduced before it is raised, or the power builds integers of megabits
+    # (1 + z/x)^e and (1 - z/x)^e at |e| = 10^5, with z/x the count 1 under
+    # the weights of q = x - 1 (|U(1, q)| = x): the counts stay the size of
+    # the coefficients times |U(k, q)|, so no step builds integers of megabits
     T = 21
     t0 = time.perf_counter()
-    got = binom_factor(1, Fraction(1, x), e, T)
+    got = binom_factor(1, 1, e, T, x - 1)
     elapsed = time.perf_counter() - t0
     # (1 - c z)^-n = sum of C(n + k - 1, k) c^k z^k
     binomial = (lambda k: comb(e, k)) if e > 0 else (lambda k: comb(-e + k - 1, k))
-    assert got == Series(T, [Fraction(binomial(k), x**k) for k in range(T + 1)])
+    assert got.coeffs == tuple(Fraction(binomial(k), x**k) for k in range(T + 1))
     assert elapsed < 0.1
 
 
 def test_power_of_an_euler_factor_keeps_to_the_true_denominators():
     # the z^k coefficient of a power of sum z^m / |U(m, 2)| has a denominator
-    # dividing |U(k, 2)|; the bound h_0^k = |U(T, 2)|^k would take seconds
+    # dividing |U(k, 2)|, which the count form holds as it is
     T = 60
-    f = euler_factor(1, lambda m: group_order_U(m, 2), 1, T)
+    f = euler_factor(1, lambda m: 1, 1, T, 2)
     t0 = time.perf_counter()
     cube = f**3
     elapsed = time.perf_counter() - t0
