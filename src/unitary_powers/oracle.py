@@ -1,48 +1,46 @@
 """Ground-truth brute force for small unitary groups.
 
-U(n, q) is realised concretely as the invertible n x n matrices A over F_q2
-with A L conj(A)^t = L, where L is the anti-diagonal Hermitian form
-(L[i][j] = 1 iff i + j = n - 1, so L^2 = I).  Groups
-are built as the multiplicative closure of a small generating set S.  S is
-chosen greedily from structured seed elements (diagonal, unipotent
-upper-triangular and monomial unitary matrices, which generate), trying
-seeds of larger element order first: a seed joins S only when it lies
-outside the subgroup S generates so far, so each one at least doubles that
-subgroup and |S| <= log2 |G|.  Every seed passes `is_unitary` and products
-of unitary matrices are unitary, so the closure is a subgroup of U(n, q);
-its element count is checked against |U(n, q)|, which makes it the whole
-group.
+U(n, q) is realised as the invertible n x n matrices A over F_q2 with
+A L conj(A)^t = L, L the anti-diagonal Hermitian form (L[i][j] = 1 iff
+i + j = n - 1, so L^2 = I).  A group is the closure of a generating set S,
+chosen greedily from structured unitary seeds (unipotent upper-triangular
+and monomial), larger element order first: a seed joins S only when it lies
+outside the subgroup S generates so far, so |S| <= log2 |G|.  Products of
+unitary matrices are unitary, so the closure is a subgroup of U(n, q); its
+order is checked against |U(n, q)|, which makes it the whole group.
 
-Every invertible matrix gets a conjugacy datum: the map from the irreducible
-factors of its characteristic polynomial to partitions, read off the kernel
-dimensions of powers of phi(A), with tilde-conjugate pairs stored once under
-the smaller member.  By Wall (1963) the datum determines the U-conjugacy
-class, and Wall gives both the centraliser order of every datum and the
-number of classes of U(n, q).
+The closure runs on packed rows.  With Q = q^2 a row is one base-Q integer
+and a matrix the tuple of its n row codes.  Row i of A s is (row i of A) s,
+so each generator s gets a table row -> row s, filled as rows are met (at
+most Q^n), and a product is n lookups; the tables are dropped when the
+closure ends.  The group stays packed: only class representatives become
+`MatrixRep`, and the full element list is built on request.
 
-U-conjugacy classes are the orbits of X -> s^(-1) X s for s in S, each
-closed from its smallest member.  The closure keeps its right Cayley table
-(the index of X s for every element X and generator s), so an orbit step
-inv(R_s(inv(R_s(X)))) is four index lookups and no matrix product.  The
-datum is computed once per orbit, on that member, and three checks make the
-orbits trustworthy, each raising `OracleInvariantError`:
+The conjugacy datum of an invertible matrix maps the irreducible factors of
+its characteristic polynomial to partitions, read off the kernel dimensions
+of powers of phi(A), with tilde-conjugate pairs stored once.  By Wall (1963)
+it determines the U-conjugacy class, and Wall gives the centraliser order of
+every datum and the number of classes of U(n, q).
 
-  * the representatives' data are pairwise distinct;
-  * every orbit has |G| / |C_U(datum)| elements, Wall's class size;
-  * the number of orbits is Wall's class number.
+Classes are the orbits of X -> s^(-1) X s for s in S, each closed from its
+smallest member through the right Cayley table (the index of X s for every
+X and s) and the unitary inverse as an index permutation, so an orbit step
+is four index lookups.  The datum is computed once per orbit, on that
+member, and three checks guard the orbits, each raising
+`OracleInvariantError`: the representatives' data are pairwise distinct,
+every orbit has Wall's class size |G| / |C_U(datum)|, and the number of
+orbits is Wall's class number.  Each orbit lies inside one U-class, so if S
+generated a proper subgroup some class would split into orbits that share
+a datum and are each smaller than Wall's class size.
 
-Each orbit lies inside one U-class, and the datum is a class invariant.  If
-S generated a proper subgroup, some U-class would split into two or more
-orbits: their representatives would share a datum, and each would be
-smaller than Wall's class size.  (Comparing every orbit with the full fibre
-of its datum, `datum_of` on every element, is kept as a test-side
-reference.)
-
-`power_image_counts` pushes the whole group through g -> g^M, checks that
-the image is a union of classes (each hit by all its members or by none)
-and tabulates it per matrix family and per class.  `check_block_power`
-verifies that powering a cyclic block U(f, m) lands on the cyclic block of
-the powered companion polynomial, whenever that companion exists.
+`power_image_counts` powers only the class representatives.  If
+g = h^(-1) r h, then g^M = h^(-1) r^M h: the M-th powers of the class of r
+are exactly the class of r^M, so the image of g -> g^M is the union of the
+classes of the representatives' powers, each class in it wholly or not at
+all.  Two checks guard each power P = r^M, each raising
+`OracleInvariantError`: P lies in G (an index lookup), and the class that
+holds P is the class whose datum is datum_of(P).  The power map over every
+element is kept as a test-side reference.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 from . import polyalg
@@ -61,24 +59,10 @@ from .polyalg import Poly
 from .series import group_order_U
 
 __all__ = [
-    "OracleInvariantError",
-    "MatrixRep",
-    "is_unitary",
-    "GroupTable",
-    "ConjClass",
-    "ConjugacyDatum",
-    "MatrixClassKind",
-    "build_group",
-    "group_table",
-    "classify_matrix",
-    "datum_of",
-    "gl_class_data",
-    "char_poly",
-    "power_image_counts",
-    "PowerImageCounts",
-    "companion",
-    "block_matrix",
-    "check_block_power",
+    "OracleInvariantError", "MatrixRep", "is_unitary", "GroupTable", "ConjClass",
+    "ConjugacyDatum", "MatrixClassKind", "build_group", "group_table", "classify_matrix",
+    "datum_of", "gl_class_data", "char_poly", "power_image_counts", "PowerImageCounts",
+    "companion", "block_matrix", "check_block_power",
 ]
 
 class OracleInvariantError(RuntimeError):
@@ -138,12 +122,6 @@ class MatrixRep:
             return MatrixRep.identity(self.desc, self.n)
         return power(self, e, operator.mul)  # a * b: each product is a __mul__ call
 
-    def conj_transpose(self) -> "MatrixRep":
-        n, cj = self.n, self.desc.conj_c
-        return MatrixRep(
-            self.desc, n, tuple(cj(self.codes[j * n + i]) for i in range(n) for j in range(n))
-        )
-
     def __eq__(self, other):
         if isinstance(other, MatrixRep):
             return self.desc is other.desc and self.n == other.n and self.codes == other.codes
@@ -174,16 +152,6 @@ def is_unitary(A: MatrixRep) -> bool:
             if s != (1 if i + j == n - 1 else 0):
                 return False
     return True
-
-
-def _unitary_inverse(A: MatrixRep) -> MatrixRep:
-    # from A L conj(A)^t = L and L^2 = I: A^(-1) = L conj(A)^t L, whose
-    # (i, j) entry is conj(A[n-1-j][n-1-i]), flat index n^2 - 1 - (j n + i)
-    n, cj, a = A.n, A.desc.conj_c, A.codes
-    last = n * n - 1
-    return MatrixRep(
-        A.desc, n, tuple(cj(a[last - j * n - i]) for i in range(n) for j in range(n))
-    )
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +285,6 @@ def _kind_of_partitions(lams) -> MatrixClassKind:
     return MatrixClassKind(cyclic and semisimple, cyclic, semisimple)
 
 
-def kind_of_datum(datum: ConjugacyDatum) -> MatrixClassKind:
-    return _kind_of_partitions(lam for _, lam in datum.items())
-
-
 def _conjugate_partition(cs: list[int]) -> tuple[int, ...]:
     if not cs:
         return ()
@@ -354,9 +318,7 @@ def gl_class_data(A: MatrixRep) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
             k = n - _rank(desc, Bj.rows())
             step, rem = divmod(k - prev, d)
             if rem:
-                raise OracleInvariantError(
-                    "kernel growth must be a multiple of the factor degree"
-                )
+                raise OracleInvariantError("kernel growth must be a multiple of the factor degree")
             cs.append(step)
             prev = k
             if prev < target:
@@ -383,10 +345,8 @@ def datum_of(A: MatrixRep) -> ConjugacyDatum:
     for phi, lam in data.items():
         phit = polyalg.tilde(phi)
         if phit != phi and data.get(phit) != lam:
-            raise ValueError(
-                "factor partitions are not tilde-symmetric; the matrix has no "
-                "unitary conjugacy datum"
-            )
+            raise ValueError("factor partitions are not tilde-symmetric; the matrix "
+                             "has no unitary conjugacy datum")
         key = phi if phit == phi else min(phi, phit)
         assignments[key] = lam
     ordered = tuple(sorted(assignments.items(), key=lambda kv: kv[0].sort_key()))
@@ -407,97 +367,156 @@ def classify_matrix(A: MatrixRep) -> MatrixClassKind:
 # group construction
 # ----------------------------------------------------------------------
 
+def _row_code(entries, Q: int) -> int:
+    """A row of field codes as one base-Q integer, first entry most
+    significant, so packed matrices sort as their flat codes do."""
+    code = 0
+    for x in entries:
+        code = code * Q + x
+    return code
+
+
+def _pack(A: MatrixRep) -> tuple[int, ...]:
+    n, Q = A.n, A.desc.order
+    return tuple(_row_code(A.codes[i * n : (i + 1) * n], Q) for i in range(n))
+
+
+def _unpack(desc: FieldDesc, n: int, rows) -> MatrixRep:
+    Q = desc.order
+    return MatrixRep(desc, n, [r // Q ** (n - 1 - j) % Q for r in rows for j in range(n)])
+
+
+class _Memo(dict):
+    """f as a table that fills itself: a missing key k gets f(k)."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, k):
+        self[k] = v = self.f(k)
+        return v
+
+
+def _row_table(S: MatrixRep) -> _Memo:
+    """Row code r -> the code of (row r) S, for the rows met (at most Q^n)."""
+    add, mul, Q, n = S.desc.add_c, S.desc.mul_c, S.desc.order, S.n
+    cols = [S.codes[j::n] for j in range(n)]
+
+    def times(r):
+        row = [r // Q ** (n - 1 - k) % Q for k in range(n)]
+        return _row_code([reduce(add, map(mul, row, col)) for col in cols], Q)
+
+    return _Memo(times)
+
+
 @dataclass(frozen=True)
 class ConjClass:
+    """The `number`-th of `group.classes`; `member_codes` is built on first use."""
+
     rep: MatrixRep
     size: int
-    member_codes: frozenset
     datum: ConjugacyDatum
     kind: MatrixClassKind
+    group: "GroupTable" = field(repr=False, compare=False)
+    number: int = field(repr=False, compare=False)
+
+    @property
+    def member_codes(self) -> frozenset:
+        return self.group._member_codes[self.number]
 
 
 def _remap(row, pos) -> list[int]:
     """The Cayley row carried through the index map pos; raises
     `OracleInvariantError` unless it is a permutation."""
-    order = len(pos)
-    out = [-1] * order
-    hit = bytearray(order)
-    if len(row) == order:
-        for i, j in enumerate(row):
-            if not 0 <= j < order or hit[j]:
-                break
-            hit[j] = 1
-            out[pos[i]] = pos[j]
-        else:
-            return out
-    raise OracleInvariantError("a Cayley table row is not a permutation")
+    if sorted(row) != list(range(len(pos))):
+        raise OracleInvariantError("a Cayley table row is not a permutation")
+    out = [-1] * len(pos)
+    for i, j in enumerate(row):
+        out[pos[i]] = pos[j]
+    return out
 
 
 class GroupTable:
-    """Explicit element list of U(n, q), sorted by codes, the generating set
-    it was built with, lazily computed classes, and the right Cayley table:
-    right[k][i] indexes elements[i] * generators[k].  The table comes over
-    the given element order; each row must be a permutation (else
-    `OracleInvariantError`) and is remapped to the sorted order."""
+    """U(n, q) as its packed elements, sorted as their flat codes; its
+    generators; lazy classes, with class_of[i] the class of packed[i]; and
+    the right Cayley table, right[k][i] the index of packed[i] generators[k],
+    given over the input order and remapped (each row must be a permutation,
+    else `OracleInvariantError`).  `elements` (as `MatrixRep`) and `index`
+    (flat codes -> position) are built on first use."""
 
-    def __init__(self, n: int, q: int, desc: FieldDesc, elements, generators, right):
-        self.n = n
-        self.q = q
-        self.desc = desc
+    def __init__(self, n: int, q: int, desc: FieldDesc, packed, generators, right):
+        self.n, self.q, self.desc = n, q, desc
         self.generators = tuple(generators)
         if len(right) != len(self.generators):
             raise OracleInvariantError("need one Cayley table row per generator")
-        elements = list(elements)
-        self.elements = sorted(elements, key=lambda A: A.codes)
-        self.index = {A.codes: i for i, A in enumerate(self.elements)}
-        pos = [self.index[A.codes] for A in elements]
+        packed = list(packed)
+        self.packed = sorted(packed)
+        self._pos = {A: i for i, A in enumerate(self.packed)}
+        pos = [self._pos[A] for A in packed]
         self.right = tuple(_remap(row, pos) for row in right)
         self.order = len(pos)
-        self._classes = None
+        self._classes = self._class_of = None
 
     def __len__(self):
         return self.order
 
     def __contains__(self, A: MatrixRep):
-        return A.codes in self.index
+        return _pack(A) in self._pos
+
+    @cached_property
+    def elements(self) -> list[MatrixRep]:
+        return [_unpack(self.desc, self.n, A) for A in self.packed]
+
+    @cached_property
+    def index(self) -> dict:
+        return {A.codes: i for i, A in enumerate(self.elements)}
+
+    @cached_property
+    def _member_codes(self) -> list[frozenset]:
+        members = [[] for _ in self.classes]
+        for A, k in zip(self.elements, self._class_of):
+            members[k].append(A.codes)
+        return [frozenset(m) for m in members]
 
     @property
     def classes(self) -> tuple[ConjClass, ...]:
         if self._classes is None:
-            self._classes = self._compute_classes()
+            self._classes, self._class_of = self._compute_classes()
         return self._classes
 
-    def _compute_classes(self) -> tuple[ConjClass, ...]:
-        """Orbits of X -> s^(-1) X s = inv(R_s(inv(R_s(X)))) for the rows R_s
-        of the Cayley table, with inv the unitary inverse as a permutation.
-        Each orbit is closed from its smallest member, its representative and
-        the only element whose datum is computed.
-
-        Raises `OracleInvariantError` when two representatives share a
-        datum, when an orbit's size is not |G| / |C_U(datum)| by Wall's
-        centraliser order, or when the number of orbits is not Wall's class
-        number.  An orbit lies inside one U-class, so a generating set that
-        left a class split into several orbits fails the first two checks.
-        """
-        inv = [self.index.get(_unitary_inverse(A).codes) for A in self.elements]
+    def _inverses(self) -> list[int]:
+        """inv[i] indexes packed[i]^(-1) = L conj(packed[i])^t L, read off columns."""
+        cj, n, Q = self.desc.conj_c, self.n, self.desc.order
+        flip = _Memo(lambda r: [cj(r // Q**j % Q) for j in range(n)]).__getitem__
+        inv = [self._pos.get(tuple(_row_code(c, Q) for c in zip(*map(flip, A[::-1]))))
+               for A in self.packed]
         if None in inv:
             raise OracleInvariantError("an element's unitary inverse is not in the group")
+        return inv
+
+    def _compute_classes(self) -> tuple[tuple[ConjClass, ...], list[int]]:
+        """The classes (see the module docstring) and class_of: orbits of
+        X -> inv(R_s(inv(R_s(X)))) for the rows R_s of the Cayley table.  Only
+        representatives are unpacked and given a datum."""
+        inv = self._inverses()
         rows = self.right
-        seen = bytearray(self.order)
+        class_of = [-1] * self.order
         data: set = set()
         out = []
-        for a, A in enumerate(self.elements):
-            if seen[a]:
+        for a in range(self.order):
+            if class_of[a] >= 0:
                 continue
-            seen[a] = 1
+            class_of[a] = k = len(out)
             orbit = [a]
             for x in orbit:  # grows while it is walked
                 for r in rows:
                     y = inv[r[inv[r[x]]]]
-                    if not seen[y]:
-                        seen[y] = 1
+                    if class_of[y] < 0:
+                        class_of[y] = k
                         orbit.append(y)
-            dm = datum_of(A)
+            rep = _unpack(self.desc, self.n, self.packed[a])
+            dm = datum_of(rep)
             if dm in data:
                 raise OracleInvariantError(f"two conjugation orbits share the datum {dm}")
             data.add(dm)
@@ -507,8 +526,8 @@ class GroupTable:
                     f"the orbit of datum {dm} has {len(orbit)} elements, but Wall's "
                     f"class size is {self.order}/{centraliser}"
                 )
-            members = frozenset(self.elements[x].codes for x in orbit)
-            out.append(ConjClass(A, len(orbit), members, dm, kind_of_datum(dm)))
+            kind = _kind_of_partitions(lam for _, lam in dm.items())
+            out.append(ConjClass(rep, len(orbit), dm, kind, self, k))
         if sum(c.size for c in out) != self.order:
             raise OracleInvariantError("class sizes do not sum to the group order")
         expected = _wall_class_number(self.n, self.q)
@@ -517,19 +536,16 @@ class GroupTable:
                 f"{len(out)} conjugation orbits in U({self.n},{self.q}), but Wall's "
                 f"class number is {expected}"
             )
-        return tuple(out)
+        return tuple(out), class_of
 
 
 def _wall_centraliser_order(datum: ConjugacyDatum, q: int) -> int:
     """|C_U(A)| for a unitary matrix A with this datum (Wall 1963).
 
-    A SCIM phi of degree d with partition lambda contributes
-    q^(d sum_i lambda'_i^2) prod_i prod_{k=1..m_i(lambda)} (1 - (-q^d)^(-k)),
-    where m_i(lambda) is the number of parts equal to i; a pair {phi, phi~}
-    contributes the GL analogue over F_{q^(2d)}, with -q^d replaced by
-    q^(2d).  With x = q^d, s = -1 for a SCIM and x = q^(2d), s = 1 for a
-    pair, each factor 1 - (s x)^(-k) is (x^k - s^k) / x^k, so the
-    contribution is the integer
+    With x = q^d, s = -1 for a SCIM phi of degree d and x = q^(2d), s = 1
+    for a pair {phi, phi~} (the GL analogue over F_{q^(2d)}), partition
+    lambda contributes x^(sum_i lambda'_i^2) prod_i prod_{k=1..m_i}
+    (1 - (s x)^(-k)), m_i the number of parts equal to i; that is the integer
     x^(sum_i lambda'_i^2 - sum_i m_i (m_i + 1) / 2) prod_i prod_k (x^k - s^k).
     """
     total = 1
@@ -561,22 +577,17 @@ def _wall_class_number(n: int, q: int) -> int:
 
 
 def _seed_elements(desc: FieldDesc, n: int):
-    """Structured unitary matrices that generate U(n, q): the unipotent
-    upper-triangular radical and the unitary monomials (the diagonal torus
-    among them).  A monomial with v_i at (i, pi(i)) is unitary iff pi
-    commutes with i -> n-1-i and v_(n-1-i) = conj(v_i)^(-1), so only those
-    are made; each must still pass `is_unitary` (else
-    `OracleInvariantError`).
-
-    They come in the order they are tried as generators: larger element
-    order first, which keeps the generating set small, ties by codes."""
+    """Structured unitary matrices that generate U(n, q), in the order they
+    are tried as generators (larger element order first, ties by codes):
+    the unipotent upper-triangular radical and the unitary monomials.  A
+    monomial with v_i at (i, pi(i)) is unitary iff pi commutes with
+    i -> n-1-i and v_(n-1-i) = conj(v_i)^(-1), so only those are made; each
+    must still pass `is_unitary` (else `OracleInvariantError`)."""
     Q = desc.order
     seeds = []
     upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for vals in itertools.product(range(Q), repeat=len(upper_slots)):
-        codes = [0] * (n * n)
-        for i in range(n):
-            codes[i * n + i] = 1
+        codes = list(MatrixRep.identity(desc, n).codes)
         for (i, j), v in zip(upper_slots, vals):
             codes[i * n + j] = v
         A = MatrixRep(desc, n, tuple(codes))
@@ -616,25 +627,23 @@ def _element_order(A: MatrixRep) -> int:
 
 def _greedy_generators(desc: FieldDesc, n: int, expected: int):
     """A generating set chosen greedily from the seeds, in their order, the
-    subgroup it generates, and its right Cayley table (see `GroupTable`).
-
-    A seed joins the set only when it lies outside the subgroup generated so
-    far; the subgroup is then extended by closing under right
-    multiplication, the old elements by the new generator and the new
-    elements by all of them, so every element meets every generator exactly
-    once.  The choice stops once the subgroup reaches the expected order.
-    """
-    ident = MatrixRep.identity(desc, n)
+    packed subgroup it generates, and its right Cayley table.  A seed joins
+    the set only when it lies outside the subgroup so far, which is then
+    closed under right multiplication: the old elements by the new
+    generator, the new elements by all of them, so every element meets
+    every generator once.  A product is n lookups in the generator's
+    `_row_table`.  The choice stops at the expected order."""
+    ident = tuple(desc.order ** (n - 1 - i) for i in range(n))
     elements = [ident]
-    index = {ident.codes: 0}
-    gens: list[MatrixRep] = []
-    right: list[list[int]] = []
+    index = {ident: 0}
+    gens, times, right = [], [], []  # times[k]: row code -> code of row * gens[k]
     for seed in _seed_elements(desc, n):
         if len(elements) >= expected:
             break
-        if seed.codes in index:
+        if _pack(seed) in index:
             continue
         gens.append(seed)
+        times.append(_row_table(seed).__getitem__)
         right.append([])
         frontier = range(len(elements))
         step = [len(gens) - 1]
@@ -645,10 +654,10 @@ def _greedy_generators(desc: FieldDesc, n: int, expected: int):
             for i in frontier:
                 A = elements[i]
                 for k in step:
-                    B = A * gens[k]
-                    j = index.get(B.codes)
+                    B = tuple(map(times[k], A))
+                    j = index.get(B)
                     if j is None:
-                        j = index[B.codes] = len(elements)
+                        j = index[B] = len(elements)
                         elements.append(B)
                         fresh.append(j)
                     right[k][i] = j
@@ -657,23 +666,16 @@ def _greedy_generators(desc: FieldDesc, n: int, expected: int):
 
 
 def build_group(n: int, q: int) -> GroupTable:
-    """Construct U(n, q) explicitly as the closure of a generating set
-    chosen greedily from structured seed elements.
-
-    Every seed passes `is_unitary` and a product of unitary matrices is
-    unitary, so the closure is a subgroup of U(n, q); its element count must
-    equal the predicted group order, which makes it the whole group.
-    """
+    """U(n, q) as the closure of greedily chosen seeds; its order must be
+    |U(n, q)| (else `OracleInvariantError`)."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    p, l = prime_power(q)
-    desc = make_field(p, l, 1)
+    desc = make_field(*prime_power(q), 1)
     expected = group_order_U(n, q)
     generators, elements, right = _greedy_generators(desc, n, expected)
     if len(elements) != expected:
-        raise OracleInvariantError(
-            f"constructed {len(elements)} elements of U({n},{q}), expected {expected}"
-        )
+        raise OracleInvariantError(f"constructed {len(elements)} elements of "
+                                   f"U({n},{q}), expected {expected}")
     return GroupTable(n, q, desc, elements, generators, right)
 
 
@@ -705,30 +707,31 @@ class PowerImageCounts:
 
 
 def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:
-    """Tabulate the image of g -> g^M by family (M = 1 tabulates all of G).
-
-    Raises `OracleInvariantError` unless the image is a union of classes:
-    each class hit by all of its members or by none, and nothing else hit.
-    """
+    """Tabulate the image of g -> g^M by family (M = 1 tabulates all of G),
+    from the powers of the class representatives; see the module docstring
+    for why that suffices and for the checks."""
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
-    image = {(A**M).codes for A in G.elements}
-    elements = dict.fromkeys(_FAMILIES, 0)
-    classes = dict.fromkeys(_FAMILIES, 0)
-    in_image = []
-    for c in G.classes:
-        inside = not image.isdisjoint(c.member_codes)
-        if inside and not image.issuperset(c.member_codes):
-            raise OracleInvariantError("the power image must be a union of classes")
-        in_image.append(inside)
-        if inside:
-            for tag in _FAMILIES:
-                if tag == "all" or getattr(c.kind, tag):
-                    elements[tag] += c.size
-                    classes[tag] += 1
-    if elements["all"] != len(image):
-        raise OracleInvariantError("the power image must lie in the group")
-    return PowerImageCounts(G.n, G.q, M, elements, classes, tuple(in_image))
+    classes = G.classes
+    hit = set()
+    for c in classes:
+        P = c.rep**M
+        j = G._pos.get(_pack(P))
+        if j is None:
+            raise OracleInvariantError("the power image must lie in the group")
+        image, dm = classes[G._class_of[j]], datum_of(P)
+        if image.datum != dm:
+            raise OracleInvariantError(
+                f"the {M}-th power of the class of {c.datum} has the datum {dm}, "
+                f"but lies in the class of {image.datum}"
+            )
+        hit.add(image.number)
+    image = [c for c in classes if c.number in hit]
+    tally = {tag: [c for c in image if tag == "all" or getattr(c.kind, tag)] for tag in _FAMILIES}
+    elements = {tag: sum(c.size for c in cs) for tag, cs in tally.items()}
+    counts = {tag: len(cs) for tag, cs in tally.items()}
+    in_image = tuple(c.number in hit for c in classes)
+    return PowerImageCounts(G.n, G.q, M, elements, counts, in_image)
 
 
 # ----------------------------------------------------------------------
@@ -759,14 +762,11 @@ def block_matrix(f: Poly, m: int) -> MatrixRep:
     d = f.degree
     n = d * m
     codes = [0] * (n * n)
-    for b in range(m):
-        off = b * d
+    for b in range(0, n, d):
         for i in range(d):
-            for j in range(d):
-                codes[(off + i) * n + (off + j)] = C.codes[i * d + j]
-        if b + 1 < m:
-            for i in range(d):
-                codes[(off + i) * n + (off + d + i)] = 1
+            codes[(b + i) * n + b : (b + i) * n + b + d] = C.codes[i * d : (i + 1) * d]
+            if b + d < n:
+                codes[(b + i) * n + b + d + i] = 1
     return MatrixRep(f.desc, n, codes)
 
 

@@ -214,3 +214,20 @@ def test_criterion_10_u33_classes_centralizers_and_squares():
         assert class_series(3, 2, 3).coeff(3) == pic.classes[tag], tag
         assert elem_series(3, 2, 3).coeff(3) == Fraction(pic.elements[tag], order), tag
     report("10 U(3,3)", f"56 classes, {checked} centralizer identities, M = 2 series")
+
+
+def test_criterion_11_u42_series_vs_oracle():
+    cells = 0
+    for M in (3, 5):
+        pic, order = oracle_counts(4, 2, M)
+        assert order == 77760 and sum(pic.in_image) == pic.classes["all"]
+        for tag, class_series, elem_series in (
+            ("separable", sep_class_series, sep_elem_series),
+            ("cyclic", cyc_class_series, cyc_elem_series),
+            ("semisimple", ss_class_series, ss_elem_series),
+        ):
+            assert class_series(2, M, 4).coeff(4) == pic.classes[tag], (tag, M)
+            assert elem_series(2, M, 4).coeff(4) == Fraction(pic.elements[tag], order), (tag, M)
+            cells += 1
+    assert len(group_table(4, 2).classes) == 60
+    report("11 U(4,2)", f"77760 elements, 60 classes, {cells} (family, M) cells, both kinds")

@@ -194,6 +194,17 @@ def test_oracle_bound_exceeded_exits_three(tmp_path):
     assert rc == 3
 
 
+def test_oracle_bound_refuses_u225_before_building_any_group(monkeypatch, tmp_path):
+    # |U(2,25)| = 405,600 is the smallest U(2, q) over the bound
+    def no_group(n, q):
+        raise AssertionError("no group may be built for a refused order")
+
+    monkeypatch.setattr(oracle, "group_table", no_group)
+    rc = main(["verify", "--q", "25", "--M", "2", "--n-max", "2",
+               "--out", str(tmp_path / "x.txt")])
+    assert rc == 3
+
+
 def test_pair_enumeration_bound_exceeded_exits_three(tmp_path):
     rc = main(["counts", "--q", "3", "--M", "2", "--d-max", "7",
                "--out", str(tmp_path / "x.txt")])
@@ -258,32 +269,31 @@ def test_table_marks_agree_with_verify_class_counts(tmp_path, q, M, n_max):
         assert int(row["actual"]) == marked[(row["n"], row["family"])]
 
 
-def _cube_moved_outside_the_image(monkeypatch, onto_rep):
-    """Patch the power map so that the last element of U(2,2) cubes onto a
-    class outside the cube image: onto its representative, or onto another
-    of its members.  Either way one class is hit by part of its members."""
+def _cube_off_its_class(monkeypatch, fault):
+    """Break the cube of a class representative of U(2,2): with "outside" it
+    becomes the zero matrix, which is not in the group; with "other-class"
+    the class table puts it in a class other than the one its datum names."""
     G = oracle.group_table(2, 2)
-    real = oracle.MatrixRep.__pow__
-    cubes = {real(A, 3).codes for A in G.elements}
-    c = next(c for c in G.classes if c.size > 1 and c.rep.codes not in cubes)
-    target = c.rep.codes if onto_rep else min(c.member_codes - {c.rep.codes})
-    last = G.elements[-1]
+    rep = G.classes[-1].rep
+    if fault == "outside":
+        real = oracle.MatrixRep.__pow__
+        zero = oracle.MatrixRep(G.desc, 2, (0,) * 4)
+        monkeypatch.setattr(oracle.MatrixRep, "__pow__",
+                            lambda A, e: zero if e == 3 and A == rep else real(A, e))
+    else:
+        j = G._pos[oracle._pack(rep**3)]
+        class_of = list(G._class_of)
+        class_of[j] = (class_of[j] + 1) % len(G.classes)
+        monkeypatch.setattr(G, "_class_of", class_of)
 
-    def power(A, e):
-        if e == 3 and A == last:
-            return oracle.MatrixRep(A.desc, A.n, target)
-        return real(A, e)
 
-    monkeypatch.setattr(oracle.MatrixRep, "__pow__", power)
-
-
-@pytest.mark.parametrize("onto_rep", [True, False], ids=["rep", "member"])
+@pytest.mark.parametrize("fault", ["outside", "other-class"])
 @pytest.mark.parametrize("command", [
     ["verify", "--q", "2", "--M", "3", "--n-max", "2"],
     ["table", "--q", "2", "--n-max", "2", "--M", "3"],
 ], ids=["verify", "table"])
-def test_power_map_that_splits_a_class_exits_four(monkeypatch, tmp_path, command, onto_rep):
-    _cube_moved_outside_the_image(monkeypatch, onto_rep)
+def test_power_map_off_its_class_exits_four(monkeypatch, tmp_path, command, fault):
+    _cube_off_its_class(monkeypatch, fault)
     assert main(command + ["--out", str(tmp_path / "x.txt")]) == 4
 
 

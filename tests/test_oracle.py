@@ -1,5 +1,6 @@
 """Brute-force oracle: group construction, class data, power images, blocks."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -20,7 +21,6 @@ from unitary_powers.oracle import (
     MatrixRep,
     OracleInvariantError,
     PowerImageCounts,
-    _unitary_inverse,
     _wall_centraliser_order,
     _wall_class_number,
     block_matrix,
@@ -96,11 +96,17 @@ def closure(gens, desc, n):
     return seen
 
 
+def unitary_inverse(A):
+    """L conj(A)^t L, by matrix products."""
+    n, cj = A.n, A.desc.conj_c
+    lam = MatrixRep(A.desc, n, [1 if i + j == n - 1 else 0 for i in range(n) for j in range(n)])
+    conj_t = MatrixRep(A.desc, n, [cj(A.codes[j * n + i]) for i in range(n) for j in range(n)])
+    return lam * conj_t * lam
+
+
 def reference_classes(G):
     """Classes by conjugating each smallest unseen element by every element."""
-    n = G.n
-    lam = MatrixRep(G.desc, n, [1 if i + j == n - 1 else 0 for i in range(n) for j in range(n)])
-    inverses = {B.codes: lam * B.conj_transpose() * lam for B in G.elements}
+    inverses = {B.codes: unitary_inverse(B) for B in G.elements}
     seen = set()
     out = []
     for A in G.elements:
@@ -190,10 +196,11 @@ def test_non_unitary_monomial_seed_raises(monkeypatch):
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
 def test_unitary_inverse_inverts_every_element(n, q):
+    # the packed-row inverse permutation that the class orbits walk
     G = group_table(n, q)
     ident = MatrixRep.identity(G.desc, n)
-    for A in G.elements:
-        assert A * _unitary_inverse(A) == ident
+    for A, i in zip(G.elements, G._inverses()):
+        assert A * G.elements[i] == ident
 
 
 def test_group_table_cache_is_bounded():
@@ -227,7 +234,7 @@ def test_generator_orbits_match_all_element_conjugation(n, q):
 def product_orbits(G):
     """Classes by matrix products: each smallest unseen element closed under
     X -> s X s^(-1) for the generators s."""
-    pairs = [(s, _unitary_inverse(s)) for s in G.generators]
+    pairs = [(s, unitary_inverse(s)) for s in G.generators]
     seen = set()
     out = []
     for A in G.elements:
@@ -289,7 +296,7 @@ def fresh_classes(n, q):
     """Classes of a new table over the cached group's elements and
     generators, computed afresh rather than taken from the cache."""
     G = group_table(n, q)
-    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators, G.right).classes
+    return GroupTable(G.n, G.q, G.desc, G.packed, G.generators, G.right).classes
 
 
 def test_shared_datum_raises(monkeypatch):
@@ -321,7 +328,7 @@ def test_classes_under_a_proper_subgroup_raise():
     sub = G.generators[:1]
     assert len(closure(sub, G.desc, 2)) < len(G)
     with pytest.raises(OracleInvariantError):
-        GroupTable(G.n, G.q, G.desc, G.elements, sub, G.right[:1]).classes
+        GroupTable(G.n, G.q, G.desc, G.packed, sub, G.right[:1]).classes
 
 
 def test_proper_subgroup_check_survives_python_O():
@@ -330,7 +337,7 @@ def test_proper_subgroup_check_survives_python_O():
         "from unitary_powers import GroupTable, OracleInvariantError, group_table\n"
         "G = group_table(2, 2)\n"
         "try:\n"
-        "    GroupTable(G.n, G.q, G.desc, G.elements, G.generators[:1], G.right[:1]).classes\n"
+        "    GroupTable(G.n, G.q, G.desc, G.packed, G.generators[:1], G.right[:1]).classes\n"
         "except OracleInvariantError:\n"
         "    sys.exit(0 if sys.flags.optimize else 4)\n"
         "sys.exit(1)\n"
@@ -343,6 +350,27 @@ def test_proper_subgroup_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+# sha256 of the element codes, generator codes and right Cayley table, as the
+# closure by whole-matrix products built them before the packed-row closure
+CLOSURE_DIGESTS = {
+    (3, 2): "7ce39ea38fecffa59d5b636cd1687085ea0a54b75f49345302a6a85cdf0a4583",
+    (2, 8): "06032c6d0ffa9edab764c248af152fbb6591f7b9059c7d609006b6a554957e41",
+    (3, 3): "9d4430f8811b759ef9bd09f7c12b006aab213da110094a6c7bee4cad579214c2",
+    (4, 2): "46dd7d42f210fc7c977bd19638154b80544f9031b3b7cfe6c2f35767f36e41bd",
+}
+
+
+@pytest.mark.parametrize("n,q", list(CLOSURE_DIGESTS))
+def test_closure_matches_the_matrix_product_closure(n, q):
+    G = group_table(n, q)
+    payload = repr((
+        tuple(A.codes for A in G.elements),
+        tuple(s.codes for s in G.generators),
+        tuple(tuple(row) for row in G.right),
+    ))
+    assert hashlib.sha256(payload.encode()).hexdigest() == CLOSURE_DIGESTS[n, q]
+
+
 @pytest.mark.parametrize("n,q", ORACLE_PAIRS)
 def test_cayley_table_rows_are_the_generator_products(n, q):
     G = group_table(n, q)
@@ -352,7 +380,7 @@ def test_cayley_table_rows_are_the_generator_products(n, q):
 
 
 def with_row(G, row):
-    return GroupTable(G.n, G.q, G.desc, G.elements, G.generators, (row,) + G.right[1:])
+    return GroupTable(G.n, G.q, G.desc, G.packed, G.generators, (row,) + G.right[1:])
 
 
 def test_cayley_row_with_a_repeated_entry_raises():
@@ -484,14 +512,57 @@ def test_power_image_counts_u22_frozen_goldens():
 
 
 def test_power_image_outside_the_group_raises(monkeypatch):
-    # the last element's cube becomes the zero matrix, which lies in no class
+    # a representative's cube becomes the zero matrix, which is not in G
     G = group_table(2, 2)
-    real, last = MatrixRep.__pow__, G.elements[-1]
+    real, rep = MatrixRep.__pow__, G.classes[-1].rep
     zero = MatrixRep(G.desc, 2, (0,) * 4)
     monkeypatch.setattr(MatrixRep, "__pow__",
-                        lambda A, e: zero if A == last else real(A, e))
+                        lambda A, e: zero if A == rep else real(A, e))
     with pytest.raises(OracleInvariantError, match="lie in the group"):
         power_image_counts(G, 3)
+
+
+def test_power_in_a_class_its_datum_does_not_name_raises(monkeypatch):
+    # the class table moves a representative's cube into the next class
+    G = group_table(2, 2)
+    j = G._pos[oracle._pack(G.classes[-1].rep ** 3)]
+    class_of = list(G._class_of)
+    class_of[j] = (class_of[j] + 1) % len(G.classes)
+    monkeypatch.setattr(G, "_class_of", class_of)
+    with pytest.raises(OracleInvariantError, match="lies in the class of"):
+        power_image_counts(G, 3)
+
+
+FAMILIES = ("all", "separable", "cyclic", "semisimple")
+
+
+def _whole_group_image(G, M):
+    """The power map over every element, as a reference: the image must be
+    a union of classes (each hit by all of its members or by none) and lie
+    in G; tallied per family and per class like `power_image_counts`."""
+    image = {(A**M).codes for A in G.elements}
+    elements = dict.fromkeys(FAMILIES, 0)
+    classes = dict.fromkeys(FAMILIES, 0)
+    in_image = []
+    for c in G.classes:
+        inside = not image.isdisjoint(c.member_codes)
+        assert not inside or image.issuperset(c.member_codes), "the image splits a class"
+        in_image.append(inside)
+        if inside:
+            for tag in FAMILIES:
+                if tag == "all" or getattr(c.kind, tag):
+                    elements[tag] += c.size
+                    classes[tag] += 1
+    assert elements["all"] == len(image), "the image leaves the group"
+    return PowerImageCounts(G.n, G.q, M, elements, classes, tuple(in_image))
+
+
+@pytest.mark.parametrize("n,q,Ms", [(n, q, range(1, 7)) for n, q in ORACLE_PAIRS]
+                         + [(3, 3, (2, 3))])
+def test_power_image_counts_equal_the_whole_group_image(n, q, Ms):
+    G = group_table(n, q)
+    for M in Ms:
+        assert power_image_counts(G, M) == _whole_group_image(G, M), M
 
 
 def test_coprime_power_map_is_a_bijection():
