@@ -16,8 +16,8 @@ series-versus-oracle verification as CSV/JSON reports.
 
 __version__ = "0.1.0"
 
-from ._numth import EnumerationBoundError
-from .gf import FieldDesc, FieldElem, FieldInvariantError, make_field
+from ._numth import EnumerationBoundError, InvariantError
+from .gf import FieldDesc, FieldInvariantError, make_field
 from .polyalg import (
     FactorisationError,
     Poly,

@@ -5,7 +5,9 @@ division is plenty fast for the field and group sizes this library handles).
 Two helpers are generic in the element type, so each job has one loop:
 `power(x, e, mul)` is the package's square-and-multiply (matrices,
 polynomials modulo f, field codes), and `order_dividing(t, is_one)` is its
-order loop (`mult_order`, `polyalg.root_order`).
+order loop (`mult_order`, `polyalg.root_order`).  The two error bases that
+every layer shares live here too: `EnumerationBoundError` for refused sizes
+and `InvariantError` for failed result checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import math
 
 class EnumerationBoundError(RuntimeError):
     """An exhaustive computation was refused because it exceeds its size bound."""
+
+
+class InvariantError(RuntimeError):
+    """A check that guards a result failed; the base of every layer's
+    invariant error (field, factorisation, count, series, oracle)."""
 
 
 def is_prime(n: int) -> bool:

@@ -24,13 +24,9 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__, counts, genfun, oracle
-from ._numth import EnumerationBoundError
-from .counts import CountInvariantError
+from ._numth import EnumerationBoundError, InvariantError
 from .genfun import Family, Kind
-from .gf import FieldInvariantError
-from .oracle import OracleInvariantError
-from .polyalg import FactorisationError
-from .series import SeriesInvariantError, group_order_U
+from .series import group_order_U
 
 __all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 
@@ -41,11 +37,6 @@ __all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 # 111 MB peak RSS, `verify --q 19 --M 2 --n-max 2` 2.4 s and 58 MB,
 # `verify --q 23 --M 2 --n-max 2` 5.6 s and 102 MB.
 VERIFY_ORDER_BOUND = 400_000
-
-_INVARIANT_ERRORS = (
-    FieldInvariantError, FactorisationError, CountInvariantError, SeriesInvariantError,
-    OracleInvariantError,
-)
 
 _COUNT_COLUMNS = (
     "q", "d", "M",
@@ -276,7 +267,7 @@ def main(argv=None) -> int:
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INVARIANT_ERRORS as exc:
+    except InvariantError as exc:
         print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

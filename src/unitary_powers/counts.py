@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
-from ._numth import EnumerationBoundError, mobius, prime_factors, prime_power
+from ._numth import EnumerationBoundError, InvariantError, mobius, prime_factors, prime_power
 
 __all__ = [
     "CountInvariantError",
@@ -65,7 +65,7 @@ __all__ = [
 PAIR_FIELD_BOUND = 1 << 20
 
 
-class CountInvariantError(RuntimeError):
+class CountInvariantError(InvariantError):
     """A sum that must divide exactly did not, or a count exceeded the total
     it is part of; the count it guards cannot be trusted."""
 

@@ -6,17 +6,18 @@ lexicographically least monic irreducible of that degree, comparing
 coefficient vectors from the constant term upward; trial division finds it,
 as the least candidate with m(0) != 0 and no monic divisor of degree 1 .. l.
 
-Elements are stored as integer codes in [0, q^2): the base-p digits of a code
-are the coordinates over F_p, constant coordinate first.  `FieldDesc(p, l)`
-checks its arguments before it builds anything: p must be prime
-(`ValueError`), l positive (`ValueError`), and the field at most
-`FIELD_BOUND` = 2^20 elements (`EnumerationBoundError`).  It then builds
-three discrete-log tables, and all arithmetic reads them: multiplication
-adds logarithms, addition is XOR in characteristic 2 and uses Zech
-logarithms otherwise.  Polynomial arithmetic over F_p only finds the modulus
-(trial division) and the generator g (`_pow_raw`, the package's
-square-and-multiply on products modulo m); the powers of g are then walked
-through the precomputed columns g * x^i mod m of the F_p-linear map a -> g a.
+An element is its integer code in [0, q^2), and nothing else: the base-p
+digits of a code are the coordinates over F_p, constant coordinate first, and
+codes below p are the prime-field elements.  `FieldDesc(p, l)` checks its
+arguments before it builds anything: p must be prime (`ValueError`), l
+positive (`ValueError`), and the field at most `FIELD_BOUND` = 2^20 elements
+(`EnumerationBoundError`).  It then builds three discrete-log tables, and all
+arithmetic reads them: multiplication adds logarithms, addition is XOR in
+characteristic 2 and uses Zech logarithms otherwise.  Polynomial arithmetic
+over F_p only finds the modulus (trial division) and the generator g
+(`_pow_raw`, the package's square-and-multiply on products modulo m); the
+powers of g are then walked through the precomputed columns g * x^i mod m of
+the F_p-linear map a -> g a.
 
 The tables are public, for kernels that inline the arithmetic (the
 polynomial kernels of `polyalg`).  With Q = q^2 and n = Q - 1:
@@ -49,20 +50,19 @@ import itertools
 from functools import lru_cache
 from operator import mul
 
-from ._numth import EnumerationBoundError, is_prime, power, prime_factors
+from ._numth import EnumerationBoundError, InvariantError, is_prime, power, prime_factors
 
 __all__ = [
     "FIELD_BOUND",
     "FieldInvariantError",
     "FieldDesc",
-    "FieldElem",
     "make_field",
 ]
 
 FIELD_BOUND = 1 << 20  # largest field `FieldDesc` builds, tables included
 
 
-class FieldInvariantError(RuntimeError):
+class FieldInvariantError(InvariantError):
     """The field model broke an invariant of finite fields (no irreducible
     modulus, no primitive element, or a power walk that does not close); its
     arithmetic cannot be trusted."""
@@ -128,17 +128,16 @@ def _least_irreducible(p, degree):
 
 
 # ----------------------------------------------------------------------
-# field descriptors and elements
+# the field descriptor
 # ----------------------------------------------------------------------
 
 class FieldDesc:
     """Concrete model of F_q2 as F_p[x]/(modulus), elements as int codes.
 
-    All arithmetic is exposed at code level (`add_c`, `mul_c`, ...) so hot
-    loops can bind the methods locally, and the tables behind it are public
-    (`log_table`, `exp_table`, `zech_table`; layout in the module docstring)
-    for kernels that inline it; `FieldElem` wraps a code for the value-level
-    API.
+    An element is only ever its code: the arithmetic takes and returns codes
+    (`add_c`, `mul_c`, ...), so hot loops can bind the methods locally, and
+    the tables behind it are public (`log_table`, `exp_table`, `zech_table`;
+    layout in the module docstring) for kernels that inline it.
     """
 
     def __init__(self, p: int, l: int):
@@ -175,17 +174,6 @@ class FieldDesc:
         for c in reversed(coords):
             code = code * self.p + c % self.p
         return code
-
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
-    def elements(self):
-        return (FieldElem(self, c) for c in range(self.order))
 
     # -- polynomial arithmetic modulo the modulus (table bootstrap) -------
 
@@ -291,105 +279,14 @@ class FieldDesc:
         return f"FieldDesc(GF({self.order}) = GF({self.q}^2))"
 
 
-class FieldElem:
-    """An element of a `FieldDesc` field, wrapping its integer code.
-
-    Integers mix in as codes (codes below p are the prime-field elements,
-    so small literals mean what they look like).
-    """
-
-    __slots__ = ("desc", "code")
-
-    def __init__(self, desc: FieldDesc, code: int):
-        self.desc = desc
-        self.code = code
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.desc.coords_of(self.code)
-
-    def _code(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.desc is not self.desc:
-                raise ValueError("field elements from different fields")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.desc.order:
-                raise ValueError(f"code {other} out of range")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.desc, self.desc.add_c(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.desc, self.desc.sub_c(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.desc, self.desc.sub_c(c, self.code))
-
-    def __mul__(self, other):
-        c = self._code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.desc, self.desc.mul_c(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.desc, self.desc.mul_c(self.code, self.desc.inv_c(c)))
-
-    def __neg__(self):
-        return FieldElem(self.desc, self.desc.neg_c(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.desc, self.desc.pow_c(self.code, e))
-
-    def inverse(self):
-        return FieldElem(self.desc, self.desc.inv_c(self.code))
-
-    def conj(self):
-        return FieldElem(self.desc, self.desc.conj_c(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.desc is other.desc and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.desc), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"FieldElem(GF({self.desc.order}), {self.code})"
-
-
 # ----------------------------------------------------------------------
 # the cached constructor
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _field(p: int, l: int) -> FieldDesc:
-    """The cached descriptor of F_q2.  Unbounded on purpose: elements and
-    polynomials compare their descriptors by identity, so evicting one would
+    """The cached descriptor of F_q2.  Unbounded on purpose: polynomials and
+    matrices compare their descriptors by identity, so evicting one would
     make a later `make_field` return a second, incompatible copy."""
     return FieldDesc(p, l)
 
@@ -399,7 +296,7 @@ def make_field(p: int, l: int, k: int) -> FieldDesc:
 
     `k`, the degree of the field over F_q2, must be 1: only F_q2 is modelled.
     Repeated calls with equal arguments return the identical (cached) object,
-    so element descriptors can be compared by identity.  `FieldDesc` checks
+    so descriptors can be compared by identity.  `FieldDesc` checks
     p and l, and refuses fields above `FIELD_BOUND` elements.
     """
     if k != 1:

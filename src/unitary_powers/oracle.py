@@ -31,7 +31,8 @@ member, and three checks guard the orbits, each raising
 every orbit has Wall's class size |G| / |C_U(datum)|, and the number of
 orbits is Wall's class number.  Each orbit lies inside one U-class, so if S
 generated a proper subgroup some class would split into orbits that share
-a datum and are each smaller than Wall's class size.
+a datum and are each smaller than Wall's class size.  A `ValueError` from
+`datum_of` on a group element is raised as `OracleInvariantError` too.
 
 `power_image_counts` powers only the class representatives.  If
 g = h^(-1) r h, then g^M = h^(-1) r^M h: the M-th powers of the class of r
@@ -39,8 +40,10 @@ are exactly the class of r^M, so the image of g -> g^M is the union of the
 classes of the representatives' powers, each class in it wholly or not at
 all.  Two checks guard each power P = r^M, each raising
 `OracleInvariantError`: P lies in G (an index lookup), and the class that
-holds P is the class whose datum is datum_of(P).  The power map over every
-element is kept as a test-side reference.
+holds P is the class whose datum is datum_of(P).  That holds by
+construction when P is the representative of the class that holds it, so
+datum_of(P) is skipped there (at M = 1, for every P).  The power map over
+every element is kept as a test-side reference.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 from . import polyalg
-from ._numth import power, prime_power
+from ._numth import InvariantError, power, prime_power
 from .gf import FieldDesc, make_field
 from .polyalg import Poly
 from .series import group_order_U
@@ -65,7 +68,7 @@ __all__ = [
     "companion", "block_matrix", "check_block_power",
 ]
 
-class OracleInvariantError(RuntimeError):
+class OracleInvariantError(InvariantError):
     """An invariant of the oracle's construction failed; the results it
     guards cannot be trusted."""
 
@@ -353,6 +356,15 @@ def datum_of(A: MatrixRep) -> ConjugacyDatum:
     return ConjugacyDatum(A.n, ordered)
 
 
+def _element_datum(A: MatrixRep) -> ConjugacyDatum:
+    """`datum_of` on a group element, which always has a datum: a
+    `ValueError` there is an oracle fault."""
+    try:
+        return datum_of(A)
+    except ValueError as exc:
+        raise OracleInvariantError(f"a group element has no conjugacy datum: {exc}") from exc
+
+
 def classify_matrix(A: MatrixRep) -> MatrixClassKind:
     """Separable / cyclic / semisimple flags of an invertible matrix.
 
@@ -442,8 +454,8 @@ class GroupTable:
     generators; lazy classes, with class_of[i] the class of packed[i]; and
     the right Cayley table, right[k][i] the index of packed[i] generators[k],
     given over the input order and remapped (each row must be a permutation,
-    else `OracleInvariantError`).  `elements` (as `MatrixRep`) and `index`
-    (flat codes -> position) are built on first use."""
+    else `OracleInvariantError`).  `elements` (as `MatrixRep`) is built on
+    first use."""
 
     def __init__(self, n: int, q: int, desc: FieldDesc, packed, generators, right):
         self.n, self.q, self.desc = n, q, desc
@@ -467,10 +479,6 @@ class GroupTable:
     @cached_property
     def elements(self) -> list[MatrixRep]:
         return [_unpack(self.desc, self.n, A) for A in self.packed]
-
-    @cached_property
-    def index(self) -> dict:
-        return {A.codes: i for i, A in enumerate(self.elements)}
 
     @cached_property
     def _member_codes(self) -> list[frozenset]:
@@ -516,7 +524,7 @@ class GroupTable:
                         class_of[y] = k
                         orbit.append(y)
             rep = _unpack(self.desc, self.n, self.packed[a])
-            dm = datum_of(rep)
+            dm = _element_datum(rep)
             if dm in data:
                 raise OracleInvariantError(f"two conjugation orbits share the datum {dm}")
             data.add(dm)
@@ -719,12 +727,14 @@ def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:
         j = G._pos.get(_pack(P))
         if j is None:
             raise OracleInvariantError("the power image must lie in the group")
-        image, dm = classes[G._class_of[j]], datum_of(P)
-        if image.datum != dm:
-            raise OracleInvariantError(
-                f"the {M}-th power of the class of {c.datum} has the datum {dm}, "
-                f"but lies in the class of {image.datum}"
-            )
+        image = classes[G._class_of[j]]
+        if P != image.rep:  # else P's datum is the class datum
+            dm = _element_datum(P)
+            if image.datum != dm:
+                raise OracleInvariantError(
+                    f"the {M}-th power of the class of {c.datum} has the datum {dm}, "
+                    f"but lies in the class of {image.datum}"
+                )
         hit.add(image.number)
     image = [c for c in classes if c.number in hit]
     tally = {tag: [c for c in image if tag == "all" or getattr(c.kind, tag)] for tag in _FAMILIES}

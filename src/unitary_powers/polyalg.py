@@ -19,12 +19,15 @@ degree d (equivalently, the companion matrix of f has an M-th root in
 GL(d, q^2)).  `butler_pattern` predicts the full factor-degree multiset of
 f(x^m) from the multiplicative order of the roots of f.
 
-The ring operations of `Poly` (sums, negation, scaling, derivative,
-products, divisions) and `tilde` read the field's log tables (`gf`) inline
-rather than calling its per-element operations: the logs of one operand's
-nonzero coefficients are taken once, each term costs one `exp_table`
-lookup, and terms are summed by XOR in characteristic 2 and by an inline
-Zech step otherwise.
+Coefficients are the field's integer codes (`gf`), as everywhere in the
+package: `Poly` is built from codes and keeps them as `codes`, `Poly.linear`
+takes the code of its root, and evaluation returns a code.  The ring
+operations of `Poly` (sums, negation, scaling, derivative, products,
+divisions) and `tilde` read the field's log tables inline rather than
+calling its per-element operations: the logs of one operand's nonzero
+coefficients are taken once, each term costs one `exp_table` lookup, and
+terms are summed by XOR in characteristic 2 and by an inline Zech step
+otherwise.
 
 `is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
 split that factorisation uses: a monic f of degree d is irreducible iff
@@ -61,8 +64,8 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from ._numth import divisors, euler_phi, factorint, mult_order, order_dividing, power
-from .gf import FieldDesc, FieldElem
+from ._numth import InvariantError, divisors, euler_phi, factorint, mult_order, order_dividing, power
+from .gf import FieldDesc
 
 __all__ = [
     "FactorisationError",
@@ -82,7 +85,7 @@ __all__ = [
 ]
 
 
-class FactorisationError(RuntimeError):
+class FactorisationError(InvariantError):
     """An invariant of factorisation failed; the results it guards cannot be
     trusted."""
 
@@ -97,23 +100,17 @@ class PolyClass(Enum):
 class Poly:
     """Dense polynomial over a `FieldDesc` field, coefficients constant-first.
 
-    Stored as a tuple of integer codes with no trailing zeros; the zero
-    polynomial has an empty tuple and degree -1.  Polynomials are immutable,
-    hashable, and totally ordered by (degree, coefficient codes), which fixes
-    the ordering of factorisations.
+    The coefficients are the field's integer codes, given and stored as a
+    tuple `codes` with no trailing zeros; the zero polynomial has an empty
+    tuple and degree -1.  Polynomials are immutable, hashable, and totally
+    ordered by (degree, coefficient codes), which fixes the ordering of
+    factorisations.
     """
 
     __slots__ = ("desc", "codes")
 
-    def __init__(self, desc: FieldDesc, coeffs=()):
-        codes = []
-        for c in coeffs:
-            if isinstance(c, FieldElem):
-                if c.desc is not desc:
-                    raise ValueError("coefficient from a different field")
-                codes.append(c.code)
-            else:
-                codes.append(int(c))
+    def __init__(self, desc: FieldDesc, codes=()):
+        codes = list(map(int, codes))
         while codes and codes[-1] == 0:
             codes.pop()
         for c in codes:
@@ -137,9 +134,11 @@ class Poly:
         return cls(desc, (0, 1))
 
     @classmethod
-    def linear(cls, root: FieldElem) -> "Poly":
-        """t - root."""
-        return cls(root.desc, (root.desc.neg_c(root.code), 1))
+    def linear(cls, desc: FieldDesc, root: int) -> "Poly":
+        """t - root, for the code of a root in [0, Q)."""
+        if not 0 <= root < desc.order:
+            raise ValueError(f"root code {root} out of range")
+        return cls(desc, (desc.neg_c(root), 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -152,10 +151,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.codes) and self.codes[-1] == 1
-
-    @property
-    def coeffs(self) -> tuple[FieldElem, ...]:
-        return tuple(FieldElem(self.desc, c) for c in self.codes)
 
     # -- ring operations ---------------------------------------------------
 
@@ -271,13 +266,13 @@ class Poly:
         return _poly(desc, [exp[log[c] + log[i % p]] if c and i % p else 0
                             for i, c in enumerate(self.codes[1:], 1)])
 
-    def __call__(self, a):
-        code = a.code if isinstance(a, FieldElem) else int(a)
+    def __call__(self, a: int) -> int:
+        """The value at the code a, as a code (Horner's rule)."""
         desc = self.desc
         acc = 0
         for c in reversed(self.codes):
-            acc = desc.add_c(desc.mul_c(acc, code), c)
-        return FieldElem(desc, acc)
+            acc = desc.add_c(desc.mul_c(acc, a), c)
+        return acc
 
     # -- comparisons -------------------------------------------------------
 

@@ -43,6 +43,8 @@ from functools import lru_cache
 from operator import index
 from typing import Callable, Optional
 
+from ._numth import InvariantError
+
 __all__ = [
     "Series",
     "SeriesInvariantError",
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 
-class SeriesInvariantError(RuntimeError):
+class SeriesInvariantError(InvariantError):
     """A division that the count form makes exact left a remainder: a Miller
     step of a power, or a class size |U(n, q)| / |C_U|."""
 

@@ -297,6 +297,31 @@ def test_power_map_off_its_class_exits_four(monkeypatch, tmp_path, command, faul
     assert main(command + ["--out", str(tmp_path / "x.txt")]) == 4
 
 
+def _without_a_tilde_partner(real):
+    """GL class data with the first pair member dropped, so that its partner
+    is left alone: the rest is not tilde-symmetric, as no unitary datum is."""
+    def broken(A):
+        data = real(A)
+        pairs = [i for i, (phi, _) in enumerate(data) if polyalg.tilde(phi) != phi]
+        return data[:pairs[0]] + data[pairs[0] + 1:] if pairs else data
+    return broken
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--q", "3", "--M", "2", "--n-max", "2"],
+    ["table", "--q", "3", "--n-max", "2"],
+], ids=["verify", "table"])
+def test_datum_fault_on_a_group_element_exits_four(monkeypatch, capsys, command):
+    # `datum_of` raises ValueError for such data; on a group element that is
+    # an oracle fault (exit 4), not a usage error (exit 1)
+    monkeypatch.setattr(oracle, "group_table", oracle.build_group)
+    monkeypatch.setattr(oracle, "gl_class_data", _without_a_tilde_partner(oracle.gl_class_data))
+    assert main(command) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "OracleInvariantError" in err and "not tilde-symmetric" in err
+
+
 # Internal invariant failures exit 4, one injected failure per layer.  The
 # oracle tests build their group afresh instead of taking the cached one.
 

@@ -153,7 +153,7 @@ def test_class_size_must_divide_exactly():
 # ----------------------------------------------------------------------
 
 def test_centralizer_order_examples():
-    t_minus_1 = Poly.linear(F4.one)
+    t_minus_1 = Poly.linear(F4, 1)
     sep = ConjugacyDatum(1, ((t_minus_1, (1,)),))
     assert centralizer_order(sep, 2) == 3
     cyc = ConjugacyDatum(2, ((t_minus_1, (2,)),))
@@ -170,7 +170,7 @@ def test_centralizer_order_from_actual_matrices():
 
 
 def test_centralizer_order_rejects_unsupported_shapes():
-    t_minus_1 = Poly.linear(F4.one)
+    t_minus_1 = Poly.linear(F4, 1)
     mixed = ConjugacyDatum(3, ((t_minus_1, (2, 1)),))
     with pytest.raises(ValueError):
         centralizer_order(mixed, 2)

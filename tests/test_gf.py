@@ -24,20 +24,20 @@ F64 = make_field(2, 3, 1)
 SMALL_FIELDS = [F4, F9, F16, F25, F64]
 
 
-def is_norm_one(a):
+def is_norm_one(desc, a):
     # a^(q+1) = 1, by repeated multiplication
-    b = a.desc.one
-    for _ in range(a.desc.q + 1):
-        b = b * a
+    b = 1
+    for _ in range(desc.q + 1):
+        b = desc.mul_c(b, a)
     return b == 1
 
 
-def mul_order(a):
+def mul_order(desc, a):
     # independent order computation by repeated multiplication
-    assert a.code != 0
+    assert a != 0
     k, b = 1, a
-    while b.code != 1:
-        b = b * a
+    while b != 1:
+        b = desc.mul_c(b, a)
         k += 1
     return k
 
@@ -79,36 +79,35 @@ def test_field_desc_checks_its_arguments():
 
 def test_conj_fixes_zero_and_one():
     for desc in SMALL_FIELDS:
-        assert desc.zero.conj() == desc.zero
-        assert desc.one.conj() == desc.one
+        assert desc.conj_c(0) == 0
+        assert desc.conj_c(1) == 1
 
 
 def test_conj_on_f9_generator():
-    gens = [a for a in F9.elements() if a.code and mul_order(a) == 8]
+    gens = [a for a in range(1, F9.order) if mul_order(F9, a) == 8]
     assert len(gens) == 4
     for g in gens:
-        assert g.conj() == g**3
-        assert g.conj().conj() == g
+        assert F9.conj_c(g) == F9.pow_c(g, 3)
+        assert F9.conj_c(F9.conj_c(g)) == g
 
 
 @pytest.mark.parametrize("desc", SMALL_FIELDS, ids=lambda d: f"GF{d.order}")
 def test_frobenius_is_a_field_automorphism(desc):
-    elems = list(desc.elements())
-    for a in elems:
-        for b in elems:
-            assert (a * b).conj() == a.conj() * b.conj()
-            assert (a + b).conj() == a.conj() + b.conj()
+    mul, add, conj = desc.mul_c, desc.add_c, desc.conj_c
+    for a in range(desc.order):
+        for b in range(desc.order):
+            assert conj(mul(a, b)) == mul(conj(a), conj(b))
+            assert conj(add(a, b)) == add(conj(a), conj(b))
 
 
 @pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
 def test_conj_fixed_set_is_the_q_subfield(desc):
-    fixed = [a for a in desc.elements() if a.conj() == a]
+    fixed = {a for a in range(desc.order) if desc.conj_c(a) == a}
     assert len(fixed) == desc.q
-    codes = {a.code for a in fixed}
     for a in fixed:
         for b in fixed:
-            assert (a + b).code in codes
-            assert (a * b).code in codes
+            assert desc.add_c(a, b) in fixed
+            assert desc.mul_c(a, b) in fixed
 
 
 @pytest.mark.parametrize("q,p,l", [(2, 2, 1), (3, 3, 1)])
@@ -116,34 +115,34 @@ def test_conj_fixed_set_is_the_q_subfield(desc):
 def test_norm_one_circle_size(q, p, l, d):
     # the circle of F_Q2 for Q = q^d: F4, F16, F64 and F9, F81, F729
     desc = make_field(p, l * d, 1)
-    count = sum(is_norm_one(a) for a in desc.elements())
+    count = sum(is_norm_one(desc, a) for a in range(desc.order))
     assert count == q**d + 1
 
 
 def test_norm_one_conventions():
-    assert is_norm_one(F4.one)
-    assert not is_norm_one(F4.zero)
+    assert is_norm_one(F4, 1)
+    assert not is_norm_one(F4, 0)
     for desc in (F4, F9, F16, F25):
-        assert sum(is_norm_one(a) for a in desc.elements()) == desc.q + 1
+        assert sum(is_norm_one(desc, a) for a in range(desc.order)) == desc.q + 1
 
 
 def test_power_map_identity_exponent():
-    for a in F9.elements():
-        assert a**1 == a
+    for a in range(F9.order):
+        assert F9.pow_c(a, 1) == a
 
 
 def test_power_map_on_the_norm_one_circle_of_f4():
-    mu3 = [a for a in F4.elements() if is_norm_one(a)]
-    assert {(a**3).code for a in mu3} == {1}
-    assert {(a**2).code for a in mu3} == {a.code for a in mu3}
+    mu3 = {a for a in range(F4.order) if is_norm_one(F4, a)}
+    assert {F4.pow_c(a, 3) for a in mu3} == {1}
+    assert {F4.pow_c(a, 2) for a in mu3} == mu3
 
 
 @pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
 def test_power_map_composes(desc):
-    for a in desc.elements():
+    for a in range(desc.order):
         for M in (2, 3, 5):
             for N in (2, 3, 5):
-                assert (a**M) ** N == a ** (M * N)
+                assert desc.pow_c(desc.pow_c(a, M), N) == desc.pow_c(a, M * N)
 
 
 def broken_modulus(p, degree):

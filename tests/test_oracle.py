@@ -51,12 +51,11 @@ F9 = make_field(3, 1, 1)
 
 
 def elem_of_order(desc, k):
-    for a in desc.elements():
-        if a.code == 0:
-            continue
+    # the least code of multiplicative order k, by repeated multiplication
+    for a in range(1, desc.order):
         b, j = a, 1
-        while b.code != 1:
-            b = b * a
+        while b != 1:
+            b = desc.mul_c(b, a)
             j += 1
         if j == k:
             return a
@@ -374,9 +373,10 @@ def test_closure_matches_the_matrix_product_closure(n, q):
 @pytest.mark.parametrize("n,q", ORACLE_PAIRS)
 def test_cayley_table_rows_are_the_generator_products(n, q):
     G = group_table(n, q)
+    index = {A.codes: i for i, A in enumerate(G.elements)}
     assert len(G.right) == len(G.generators)
     for s, row in zip(G.generators, G.right):
-        assert row == [G.index[(A * s).codes] for A in G.elements]
+        assert row == [index[(A * s).codes] for A in G.elements]
 
 
 def with_row(G, row):
@@ -451,11 +451,11 @@ def test_datum_of_examples():
     for n in (1, 2, 3):
         ident = MatrixRep.identity(F4, n)
         ((phi, lam),) = datum_of(ident).items()
-        assert phi == Poly.linear(F4.one)
+        assert phi == Poly.linear(F4, 1)
         assert lam == (1,) * n
     jordan = MatrixRep(F4, 2, (1, 1, 0, 1))
     ((phi, lam),) = datum_of(jordan).items()
-    assert (phi, lam) == (Poly.linear(F4.one), (2,))
+    assert (phi, lam) == (Poly.linear(F4, 1), (2,))
     for A in group_table(2, 2).elements:
         if classify_matrix(A).separable:
             assert all(lam == (1,) for _, lam in datum_of(A).items())
@@ -468,7 +468,7 @@ def test_datum_of_rejects_singular_matrices():
 
 def test_datum_of_rejects_non_unitary_shapes():
     # a single pair member without its tilde partner has GL data only
-    g = Poly.linear(elem_of_order(F9, 8))
+    g = Poly.linear(F9, elem_of_order(F9, 8))
     C = companion(g)
     assert gl_class_data(C) == ((g, (1,)),)
     with pytest.raises(ValueError):
@@ -531,6 +531,35 @@ def test_power_in_a_class_its_datum_does_not_name_raises(monkeypatch):
     monkeypatch.setattr(G, "_class_of", class_of)
     with pytest.raises(OracleInvariantError, match="lies in the class of"):
         power_image_counts(G, 3)
+
+
+@pytest.mark.parametrize("M,calls", [(3, 61), (1, 0)])
+def test_power_pass_skips_the_datum_of_a_representative(monkeypatch, M, calls):
+    # U(2,8) has 81 classes; at M = 3 the cubes of 20 representatives are
+    # representatives themselves, whose data the classes already hold, and
+    # at M = 1 every power is its own representative
+    G = group_table(2, 8)
+    assert len(G.classes) == 81
+    real, seen = oracle.datum_of, []
+    monkeypatch.setattr(oracle, "datum_of", lambda A: seen.append(A) or real(A))
+    power_image_counts(G, M)
+    assert len(seen) == calls
+
+
+def no_datum(A):
+    raise ValueError("factor partitions are not tilde-symmetric")
+
+
+def test_datum_fault_on_a_group_element_raises(monkeypatch):
+    # every group element has a datum: a ValueError from `datum_of` on one,
+    # in the class orbits or in the power pass, is an oracle fault
+    G = group_table(2, 2)
+    assert G.classes  # built before the fault
+    monkeypatch.setattr(oracle, "datum_of", no_datum)
+    with pytest.raises(OracleInvariantError, match="no conjugacy datum"):
+        fresh_classes(2, 2)
+    with pytest.raises(OracleInvariantError, match="no conjugacy datum"):
+        power_image_counts(G, 2)
 
 
 FAMILIES = ("all", "separable", "cyclic", "semisimple")
@@ -597,7 +626,7 @@ def test_total_separable_classes_match_the_unrestricted_series():
 
 
 def test_block_matrix_examples():
-    one_lin = Poly.linear(F4.one)
+    one_lin = Poly.linear(F4, 1)
     assert block_matrix(one_lin, 1) == MatrixRep.identity(F4, 1)
     assert block_matrix(one_lin, 2) == MatrixRep(F4, 2, (1, 1, 0, 1))
     for f in irreducible_polys(F9, 2)[:4]:
@@ -614,7 +643,7 @@ def test_companion_char_poly_roundtrip():
 
 
 def test_check_block_power_unipotent_and_m1():
-    one_lin = Poly.linear(F4.one)
+    one_lin = Poly.linear(F4, 1)
     for m in (1, 2, 3):
         for M in (3, 5):
             assert check_block_power(one_lin, m, M)
@@ -624,9 +653,9 @@ def test_check_block_power_unipotent_and_m1():
 
 def test_check_block_power_order_eight_linear_over_f9():
     g = elem_of_order(F9, 8)
-    f = Poly.linear(g)
+    f = Poly.linear(F9, g)
     B = companion(f) ** 5
-    assert char_poly(B) == Poly.linear(g**5)
+    assert char_poly(B) == Poly.linear(F9, F9.pow_c(g, 5))
     assert check_block_power(f, 2, 5)
 
 
@@ -641,7 +670,7 @@ def test_check_block_power_handles_degree_collapse_vacuously():
 
 def test_check_block_power_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        check_block_power(Poly.linear(F4.one), 2, 2)  # gcd(M, q) != 1
+        check_block_power(Poly.linear(F4, 1), 2, 2)  # gcd(M, q) != 1
     with pytest.raises(ValueError):
         check_block_power(Poly(F4, (1, 0, 0, 1)), 1, 3)  # reducible
 

@@ -38,12 +38,11 @@ F9 = make_field(3, 1, 1)
 
 
 def elem_of_order(desc, k):
-    for a in desc.elements():
-        if a.code == 0:
-            continue
+    # the least code of multiplicative order k, by repeated multiplication
+    for a in range(1, desc.order):
         b, j = a, 1
-        while b.code != 1:
-            b = b * a
+        while b != 1:
+            b = desc.mul_c(b, a)
             j += 1
         if j == k:
             return a
@@ -56,22 +55,22 @@ def elem_of_order(desc, k):
 
 def test_tilde_fixes_t_minus_one():
     for desc in (F4, F9):
-        f = Poly.linear(desc.one)
+        f = Poly.linear(desc, 1)
         assert tilde(f) == f
 
 
 def test_tilde_fixes_norm_one_linear_over_f4():
     g = elem_of_order(F4, 3)  # norm-one generator, g^3 = 1
-    f = Poly.linear(g)
+    f = Poly.linear(F4, g)
     assert tilde(f) == f
     # root of the tilde conjugate is the inverse conjugate of the root
-    assert tilde(f) == Poly.linear(g.conj().inverse())
+    assert tilde(f) == Poly.linear(F4, F4.inv_c(F4.conj_c(g)))
 
 
 def test_tilde_moves_order_eight_linear_over_f9():
     g = elem_of_order(F9, 8)
-    f = Poly.linear(g)
-    assert tilde(f) == Poly.linear(g ** (-3))
+    f = Poly.linear(F9, g)
+    assert tilde(f) == Poly.linear(F9, F9.pow_c(g, -3))
     assert tilde(f) != f
 
 
@@ -93,6 +92,19 @@ def test_tilde_preserves_irreducibility(desc):
             assert is_irreducible(tilde(f))
 
 
+def test_polynomials_are_built_from_codes_and_evaluate_to_codes():
+    for desc in (F4, F9):
+        for a in range(desc.order):
+            f = Poly.linear(desc, a)
+            assert f.codes == (desc.neg_c(a), 1)
+            assert f(a) == 0 and type(f(a)) is int
+        for bad in (-1, desc.order):
+            with pytest.raises(ValueError, match="out of range"):
+                Poly.linear(desc, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                Poly(desc, (bad, 1))
+
+
 def test_tilde_rejects_zero_constant_term():
     with pytest.raises(ValueError):
         tilde(Poly.t(F4))
@@ -112,7 +124,7 @@ def test_irreducible_quadratics_over_f4_match_necklace_count():
     brute = [
         f
         for f in monic_polys(F4, 2)
-        if all(f(a).code != 0 for a in F4.elements())
+        if all(f(a) != 0 for a in range(F4.order))
     ]
     assert len(brute) == (4**2 - 4) // 2 == 6
     assert set(brute) == set(irreducible_polys(F4, 2))
@@ -186,7 +198,7 @@ def test_classify_agrees_on_sieved_and_hand_built_polynomials(desc, d):
 
 
 # ----------------------------------------------------------------------
-# ring kernels against FieldElem-level schoolbook arithmetic
+# ring kernels against schoolbook arithmetic on the field's code operations
 # ----------------------------------------------------------------------
 
 KERNEL_FIELDS = [F4, F9, make_field(2, 2, 1), make_field(5, 1, 1), make_field(257, 1, 1)]
@@ -194,17 +206,17 @@ KERNEL_FIELDS = [F4, F9, make_field(2, 2, 1), make_field(5, 1, 1), make_field(25
 
 def _school_mul(a, b):
     desc = a.desc
-    out = [desc.zero] * (len(a.codes) + len(b.codes) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + x * y
+    out = [0] * (len(a.codes) + len(b.codes) - 1)
+    for i, x in enumerate(a.codes):
+        for j, y in enumerate(b.codes):
+            out[i + j] = desc.add_c(out[i + j], desc.mul_c(x, y))
     return Poly(desc, out)
 
 
 def _school_add(a, b):
     n = max(len(a.codes), len(b.codes))
-    x, y = (list(f.coeffs) + [f.desc.zero] * (n - len(f.codes)) for f in (a, b))
-    return Poly(a.desc, [u + v for u, v in zip(x, y)])
+    x, y = (list(f.codes) + [0] * (n - len(f.codes)) for f in (a, b))
+    return Poly(a.desc, [a.desc.add_c(u, v) for u, v in zip(x, y)])
 
 
 @st.composite
@@ -245,19 +257,21 @@ def test_division_satisfies_a_equals_qb_plus_r(operands):
 def test_linear_kernels_and_tilde_match_the_schoolbook_reference(operands):
     a, b = operands
     desc = a.desc
-    neg_b = Poly(desc, [-x for x in b.coeffs])
+    mul, conj = desc.mul_c, desc.conj_c
+    neg_b = Poly(desc, [desc.neg_c(x) for x in b.codes])
     assert a + b == _school_add(a, b) == b + a
     assert -b == neg_b
     assert a - b == _school_add(a, neg_b)
-    lead = b.coeffs[-1]
-    assert a.scale(lead.code) == Poly(desc, [x * lead for x in a.coeffs])
+    lead = b.codes[-1]
+    assert a.scale(lead) == Poly(desc, [mul(x, lead) for x in a.codes])
     assert a.scale(0).is_zero()
-    assert a.derivative() == Poly(desc, [x * (i % desc.p) for i, x in enumerate(a.coeffs)][1:])
-    f = Poly(desc, [x / lead for x in b.coeffs])
+    # i * c_i, with i mod p the code of a prime-field element
+    assert a.derivative() == Poly(desc, [mul(x, i % desc.p) for i, x in enumerate(a.codes)][1:])
+    f = Poly(desc, [mul(x, desc.inv_c(lead)) for x in b.codes])
     assert b.monic() == f
     if f.codes[0]:
-        inv0 = f.coeffs[0].conj().inverse()
-        assert tilde(f) == Poly(desc, [x.conj() * inv0 for x in reversed(f.coeffs)])
+        inv0 = desc.inv_c(conj(f.codes[0]))
+        assert tilde(f) == Poly(desc, [mul(conj(x), inv0) for x in reversed(f.codes)])
 
 
 def test_pow_mod_matches_repeated_multiplication():
@@ -276,14 +290,14 @@ def test_t_cubed_minus_one_over_f4():
     assert [g.degree for g, _ in fs] == [1, 1, 1]
     assert all(m == 1 for _, m in fs)
     # roots are exactly the norm-one circle of F4
-    roots = {a.code for a in F4.elements() if f(a).code == 0}
-    assert roots == {a.code for a in F4.elements() if a.code and (a**3).code == 1}
+    roots = {a for a in range(F4.order) if f(a) == 0}
+    assert roots == {a for a in range(1, F4.order) if F4.pow_c(a, 3) == 1}
 
 
 def test_factor_of_irreducible_and_of_a_square():
     f = irreducible_polys(F4, 2)[0]
     assert factor(f) == ((f, 1),)
-    lin = Poly.linear(F4.one)
+    lin = Poly.linear(F4, 1)
     assert factor(lin * lin) == ((lin, 2),)
 
 
@@ -415,8 +429,8 @@ def test_factor_handles_pth_power_shapes():
 # ----------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify(Poly.linear(F4.one)) is PolyClass.SCIM
-    assert classify(Poly.linear(elem_of_order(F9, 8))) is PolyClass.PAIR_MEMBER
+    assert classify(Poly.linear(F4, 1)) is PolyClass.SCIM
+    assert classify(Poly.linear(F9, elem_of_order(F9, 8))) is PolyClass.PAIR_MEMBER
     assert classify(Poly.t(F9)) is PolyClass.LINEAR_T
     assert classify(Poly(F4, (1, 0, 0, 1))) is PolyClass.REDUCIBLE
 
@@ -449,11 +463,10 @@ def test_compose_power():
 # ----------------------------------------------------------------------
 
 def test_mtilde_power_examples_q2():
-    one_lin = Poly.linear(F4.one)
+    one_lin = Poly.linear(F4, 1)
     assert is_mtilde_power(one_lin, 2)  # t^2 - 1 = (t - 1)^2
-    others = [
-        Poly.linear(a) for a in F4.elements() if a.code > 1
-    ]  # the two non-identity norm-one linears
+    # the two non-identity norm-one linears
+    others = [Poly.linear(F4, a) for a in range(2, F4.order)]
     assert all(classify(f) is PolyClass.SCIM for f in others)
     assert [is_mtilde_power(f, 3) for f in others] == [False, False]
     scim_cubics = [f for f in irreducible_polys(F4, 3) if classify(f) is PolyClass.SCIM]
@@ -463,15 +476,15 @@ def test_mtilde_power_examples_q2():
 
 def test_mtilde_power_rejects_non_scim():
     with pytest.raises(ValueError):
-        is_mtilde_power(Poly.linear(elem_of_order(F9, 8)), 2)
+        is_mtilde_power(Poly.linear(F9, elem_of_order(F9, 8)), 2)
 
 
 def test_m_power_pair_examples_q3():
-    f = Poly.linear(elem_of_order(F9, 8))
+    f = Poly.linear(F9, elem_of_order(F9, 8))
     assert is_m_power_pair(f, 5)
     assert not is_m_power_pair(f, 2)
     with pytest.raises(ValueError):
-        is_m_power_pair(Poly.linear(F9.one), 2)
+        is_m_power_pair(Poly.linear(F9, 1), 2)
 
 
 @pytest.mark.parametrize("desc", [F4, F9], ids=["GF4", "GF9"])
@@ -489,9 +502,9 @@ def test_m_power_pair_is_constant_on_pairs(desc):
 # ----------------------------------------------------------------------
 
 def test_root_order_examples():
-    assert root_order(Poly.linear(F4.one)) == 1
-    assert root_order(Poly.linear(elem_of_order(F4, 3))) == 3
-    assert root_order(Poly.linear(elem_of_order(F9, 8))) == 8
+    assert root_order(Poly.linear(F4, 1)) == 1
+    assert root_order(Poly.linear(F4, elem_of_order(F4, 3))) == 3
+    assert root_order(Poly.linear(F9, elem_of_order(F9, 8))) == 8
     assert {root_order(f) for f in irreducible_polys(F4, 2)} == {5, 15}
 
 

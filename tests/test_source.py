@@ -1,5 +1,6 @@
 """Source checks: result-guarding invariants must survive `python -O`, every
-export resolves, and README's library sketch runs."""
+export resolves, every exception has one of the two error bases, and README's
+library sketch runs."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import unitary_powers
+from unitary_powers._numth import EnumerationBoundError, InvariantError
+from unitary_powers.cli import UsageError
 
 MODULES = sorted(Path(unitary_powers.__file__).resolve().parent.glob("*.py"))
 
@@ -33,6 +36,20 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == [], f"{module}.__all__ names undefined {missing}"
+
+
+def test_every_exception_has_an_error_base():
+    # `cli.main` maps the two bases to exits 3 and 4, so an exception class
+    # outside them would escape as exit 1 or as a traceback
+    found = []
+    for path in MODULES:
+        mod = importlib.import_module(f"unitary_powers.{path.stem}".replace(".__init__", ""))
+        found += [obj for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == mod.__name__]
+    assert len(found) >= 8  # the two bases, UsageError and the five layer errors
+    for exc in found:
+        assert issubclass(exc, (InvariantError, EnumerationBoundError)) or exc is UsageError, exc
 
 
 def test_readme_library_sketch_runs():
