@@ -1,13 +1,16 @@
 """Small integer number-theory helpers shared across the package.
 
-Everything here is exact integer arithmetic on desk-scale inputs (trial
-division is plenty fast for the field and group sizes this library handles).
+Everything here is exact integer arithmetic.  `factorint` is trial division,
+plenty fast for the degrees and orders it is given; `is_prime` (Miller-Rabin,
+exact below 3.3 * 10^24) and `prime_power`, which see q and M as given, take
+time polynomial in log n.
 Two helpers are generic in the element type, so each job has one loop:
 `power(x, e, mul)` is the package's square-and-multiply (matrices,
 polynomials modulo f, field codes), and `order_dividing(t, is_one)` is its
-order loop (`mult_order`, `polyalg.root_order`).  The two error bases that
-every layer shares live here too: `EnumerationBoundError` for refused sizes
-and `InvariantError` for failed result checks.
+order loop (`mult_order`, `polyalg.root_order`, the oracle's unipotent
+seeds).  The two error bases that every layer shares live here too:
+`EnumerationBoundError` for refused sizes and `InvariantError` for failed
+result checks.
 """
 
 from __future__ import annotations
@@ -24,16 +27,26 @@ class InvariantError(RuntimeError):
     invariant error (field, factorisation, count, series, oracle)."""
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin over the prime bases 2..41, exact below
+    `_PRIME_TEST_BOUND` (Sorenson and Webster, 2015); above it a number
+    with no factor among the bases raises `EnumerationBoundError`."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _PRIME_TEST_BOUND:
+        raise EnumerationBoundError(f"{n} is beyond the exact primality bound")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for b in _PRIME_BASES:  # b^d = 1 or b^(2^k d) = -1 for some k < s, d = (n-1)/2^s
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -133,11 +146,17 @@ def mult_order(a: int, n: int) -> int:
 
 
 def prime_power(n: int) -> tuple[int, int]:
-    """Write n = p^l with p prime, or raise ValueError."""
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    fac = factorint(n)
-    if len(fac) != 1:
-        raise ValueError(f"{n} is not a prime power")
-    ((p, l),) = fac.items()
-    return p, l
+    """Write n = p^l with p prime, or raise ValueError.  A composite p^l has
+    l as its largest exponent with an exact integer root, and p as that root."""
+    if is_prime(n):
+        return n, 1
+    for l in range(n.bit_length() - 1, 1, -1):
+        p = 0  # the integer l-th root of n, bit by bit
+        for b in reversed(range(n.bit_length() // l + 1)):
+            if (p | 1 << b) ** l <= n:
+                p |= 1 << b
+        if p**l == n:
+            if is_prime(p):
+                return p, l
+            break
+    raise ValueError(f"{n} is not a prime power")

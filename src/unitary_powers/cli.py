@@ -57,7 +57,7 @@ class UsageError(Exception):
 class Report:
     meta: dict
     columns: tuple[str, ...]
-    rows: list[dict]
+    rows: list[tuple]  # one value per column, in column order
     failed: bool = False
 
 
@@ -75,30 +75,21 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 
 
 def run_counts(args: argparse.Namespace) -> Report:
-    rows = []
-    for d in range(1, args.d_max + 1):
-        rec = counts.count_record(args.q, d, args.M)
-        rows.append({
-            "q": rec.q, "d": rec.d, "M": rec.M,
-            "N_tilde": rec.n_tilde, "N_tilde_M": rec.n_tilde_M,
-            "R_tilde": rec.r_tilde, "R_tilde_M": rec.r_tilde_M,
-            "S_tilde_prime": rec.s_tilde_prime, "S_prime": rec.s_prime,
-        })
+    counts._validate(args.q, 1, args.M)  # also when d_max = 0
+    rows = [tuple(vars(counts.count_record(args.q, d, args.M)).values())
+            for d in range(1, args.d_max + 1)]
     return Report(_meta(args, d_max=args.d_max), _COUNT_COLUMNS, rows)
 
 
 def run_series(args: argparse.Namespace) -> Report:
     request = genfun.SeriesRequest(args.q, args.M, args.T, args.family, args.kind)
     s = genfun.series_for(request)
-    rows = [
-        {"n": n, "coefficient": str(c), "decimal": repr(float(c))}
-        for n, c in enumerate(s.coeffs)
-    ]
+    rows = [(n, str(c), repr(float(c))) for n, c in enumerate(s.coeffs)]
     return Report(_meta(args, family=args.family.value, kind=args.kind.value), _SERIES_COLUMNS, rows)
 
 
 def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, order: int) -> Fraction:
-    tag = {Family.SEPARABLE: "separable", Family.CYCLIC: "cyclic", Family.SEMISIMPLE: "semisimple"}[family]
+    tag = family.name.lower()  # its key in PowerImageCounts
     if kind is Kind.CLASSES:
         return Fraction(pic.classes[tag])
     return Fraction(pic.elements[tag], order)
@@ -137,11 +128,8 @@ def run_verify(args: argparse.Namespace) -> Report:
             actual = _oracle_counts(pic, family, kind, G.order)
             ok = expected == actual
             failed = failed or not ok
-            rows.append({
-                "n": G.n, "family": family.value, "kind": kind.value,
-                "expected": str(expected), "actual": str(actual),
-                "status": "PASS" if ok else "FAIL",
-            })
+            rows.append((G.n, family.value, kind.value, str(expected), str(actual),
+                         "PASS" if ok else "FAIL"))
     return Report(_meta(args, n_max=args.n_max), _VERIFY_COLUMNS, rows, failed=failed)
 
 
@@ -149,12 +137,8 @@ def run_table(args: argparse.Namespace) -> Report:
     rows = []
     for G, pic in _oracle_pass(args.q, args.M, args.n_max):
         for idx, (c, inside) in enumerate(zip(G.classes, pic.in_image)):
-            rows.append({
-                "n": G.n, "class_index": idx, "size": c.size,
-                "separable": c.kind.separable, "cyclic": c.kind.cyclic,
-                "semisimple": c.kind.semisimple, "datum": str(c.datum),
-                "is_m_power": inside if args.M > 1 else "",
-            })
+            rows.append((G.n, idx, c.size, c.kind.separable, c.kind.cyclic,
+                         c.kind.semisimple, str(c.datum), inside if args.M > 1 else ""))
     return Report(_meta(args, n_max=args.n_max), _TABLE_COLUMNS, rows)
 
 
@@ -164,11 +148,12 @@ def run_table(args: argparse.Namespace) -> Report:
 
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        payload = {"meta": report.meta, "rows": report.rows}
+        rows = [dict(zip(report.columns, row)) for row in report.rows]
+        payload = {"meta": report.meta, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
     lines = [",".join(report.columns)]
     for row in report.rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in report.columns))
+        lines.append(",".join(map(_csv_cell, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -91,20 +91,15 @@ def _exact_degree(Q: int, d: int, h: int) -> int:
 
 def count_scim(q: int, d: int) -> int:
     """N~(q, d): SCIM polynomials of degree d over F_q2, on the norm-one
-    circle.  The memoir's form: (1/d) * sum over l | d of mu(l) * (q^(d/l) + 1)
-    for odd d, else 0."""
-    _validate(q, d)
-    if d % 2 == 0:
-        return 0
-    total = _exact_degree(q * q, d, q**d + 1)
-    return _exact_quotient(total, d, "SCIM count must be integral")
+    circle; it is N~_1(q, d).  The memoir's form: (1/d) * sum over l | d of
+    mu(l) * (q^(d/l) + 1) for odd d, else 0."""
+    return count_mtilde_scim(q, d, 1)
 
 
 def count_mtilde_scim(q: int, d: int, M: int) -> int:
     """N~_M(q, d): M~-power SCIM polynomials of degree d, on the M-th powers
     in the norm-one circle.  The paper's form: (1 / (d * (M, q^d + 1))) *
-    sum over l | d of mu(l) * (M * (q^(2d/l) - 1), q^d + 1) for odd d, else 0.
-    M = 1 gives N~(q, d)."""
+    sum over l | d of mu(l) * (M * (q^(2d/l) - 1), q^d + 1) for odd d, else 0."""
     _validate(q, d, M)
     if d % 2 == 0:
         return 0
@@ -159,7 +154,7 @@ def check_pair_field(q: int, d: int):
     Count tables stop at d = 10, 6, 5, 4, 3 and series at T = 21, 13, 11, 9,
     7 for q = 2, 3, 4, 5 and 7-9.  The counts cost little at any d; the
     bound stays because the series cost is not modelled yet (ROADMAP.md,
-    item 4).
+    item 7).
     """
     if q ** (2 * d) > PAIR_FIELD_BOUND:
         raise EnumerationBoundError(
@@ -185,7 +180,7 @@ def s_prime(q: int, d: int, M: int) -> int:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One row of the count table for fixed (q, d, M)."""
+    """One row of the count table for fixed (q, d, M), in column order."""
 
     q: int
     d: int

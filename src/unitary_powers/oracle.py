@@ -53,10 +53,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 
 from . import polyalg
-from ._numth import InvariantError, power, prime_power
+from ._numth import InvariantError, order_dividing, power, prime_power
 from .gf import FieldDesc, make_field
 from .polyalg import Poly
 from .series import group_order_U
@@ -264,28 +264,23 @@ class ConjugacyDatum:
 
 @dataclass(frozen=True)
 class MatrixClassKind:
-    """Family flags; separable implies cyclic and semisimple, and a matrix
-    that is both cyclic and semisimple is separable."""
+    """Family flags; a class is separable iff it is cyclic and semisimple."""
 
-    separable: bool
     cyclic: bool
     semisimple: bool
 
-    def __post_init__(self):
-        if self.separable and not (self.cyclic and self.semisimple):
-            raise ValueError("separable must imply cyclic and semisimple")
-        if self.cyclic and self.semisimple and not self.separable:
-            raise ValueError("cyclic + semisimple must imply separable")
+    @property
+    def separable(self) -> bool:
+        return self.cyclic and self.semisimple
 
 
 def _kind_of_partitions(lams) -> MatrixClassKind:
-    """Family flags from the partitions of the factors: separable means all
-    partitions are [1], semisimple all-ones partitions, cyclic single-part
-    partitions."""
+    """Family flags from the partitions of the factors: cyclic means
+    single-part partitions, semisimple all-ones partitions."""
     lams = list(lams)
     cyclic = all(len(lam) == 1 for lam in lams)
     semisimple = all(set(lam) == {1} for lam in lams)
-    return MatrixClassKind(cyclic and semisimple, cyclic, semisimple)
+    return MatrixClassKind(cyclic, semisimple)
 
 
 def _conjugate_partition(cs: list[int]) -> tuple[int, ...]:
@@ -584,24 +579,32 @@ def _wall_class_number(n: int, q: int) -> int:
     return c[n]
 
 
-def _seed_elements(desc: FieldDesc, n: int):
-    """Structured unitary matrices that generate U(n, q), in the order they
-    are tried as generators (larger element order first, ties by codes):
-    the unipotent upper-triangular radical and the unitary monomials.  A
-    monomial with v_i at (i, pi(i)) is unitary iff pi commutes with
-    i -> n-1-i and v_(n-1-i) = conj(v_i)^(-1), so only those are made; each
-    must still pass `is_unitary` (else `OracleInvariantError`)."""
+def _seed_elements(desc: FieldDesc, n: int) -> dict:
+    """Structured unitary matrices that generate U(n, q), each mapped to its
+    order, in the order they are tried as generators (larger order first,
+    ties by codes): the unipotent upper-triangular radical and the unitary
+    monomials.  A monomial with v_i at (i, pi(i)) is unitary iff pi commutes
+    with i -> n-1-i and v_(n-1-i) = conj(v_i)^(-1), so only those are made;
+    each must still pass `is_unitary` (else `OracleInvariantError`).
+
+    The orders are read off the seeds' form.  A unipotent seed I + N has
+    N^n = 0, so its p^(n-1)-th power is I and `order_dividing` finds its
+    order.  A monomial seed's |C|-th power is, on each cycle C of pi, the
+    scalar prod of v_i over C; its order is the lcm over the cycles of |C|
+    times that scalar's order (Q - 1) / gcd(sum of log v_i, Q - 1)."""
     Q = desc.order
-    seeds = []
+    ident = MatrixRep.identity(desc, n)
+    seeds = {}
     upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for vals in itertools.product(range(Q), repeat=len(upper_slots)):
-        codes = list(MatrixRep.identity(desc, n).codes)
+        codes = list(ident.codes)
         for (i, j), v in zip(upper_slots, vals):
             codes[i * n + j] = v
         A = MatrixRep(desc, n, tuple(codes))
         if is_unitary(A):
-            seeds.append(A)
-    mul, inv, cj = desc.mul_c, desc.inv_c, desc.conj_c
+            seeds[A] = order_dividing(desc.p ** (n - 1),
+                                      lambda k: power(A, k, operator.mul) == ident)
+    mul, inv, cj, log = desc.mul_c, desc.inv_c, desc.conj_c, desc.log_table
     half = n // 2
     choices = [range(1, Q)] * half
     if n % 2:
@@ -620,17 +623,14 @@ def _seed_elements(desc: FieldDesc, n: int):
             A = MatrixRep(desc, n, tuple(codes))
             if not is_unitary(A):
                 raise OracleInvariantError(f"the monomial seed {A.codes} is not unitary")
-            seeds.append(A)
-    unique = {A.codes: A for A in seeds}
-    return sorted(unique.values(), key=lambda A: (-_element_order(A), A.codes))
-
-
-def _element_order(A: MatrixRep) -> int:
-    ident = MatrixRep.identity(A.desc, A.n)
-    B, k = A, 1
-    while B != ident:
-        B, k = B * A, k + 1
-    return k
+            order = 1
+            for i in range(n):  # the cycle of i: its length and its scalar's log
+                size, s, j = 1, log[v[i]], perm[i]
+                while j != i:
+                    size, s, j = size + 1, s + log[v[j]], perm[j]
+                order = lcm(order, size * (Q - 1) // gcd(s, Q - 1))
+            seeds[A] = order
+    return dict(sorted(seeds.items(), key=lambda s: (-s[1], s[0].codes)))
 
 
 def _greedy_generators(desc: FieldDesc, n: int, expected: int):

@@ -3,12 +3,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from unitary_powers import counts, genfun, gf, oracle, polyalg, series
+import unitary_powers
+from unitary_powers import cli, counts, genfun, gf, oracle, polyalg, series
 from unitary_powers.cli import main
 
 
@@ -51,6 +56,11 @@ def test_counts_empty_range_gives_header_only(tmp_path):
     assert text.splitlines() == [
         "q,d,M,N_tilde,N_tilde_M,R_tilde,R_tilde_M,S_tilde_prime,S_prime"
     ]
+
+
+def test_counts_checks_q_before_any_row(capsys):
+    assert main(["counts", "--q", "6", "--M", "2", "--d-max", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: 6 is not a prime power\n")
 
 
 def test_series_rows(tmp_path):
@@ -134,6 +144,25 @@ def test_json_schema(tmp_path):
         assert key in meta
     assert meta["family"] == "sep" and meta["kind"] == "classes"
     assert payload["rows"][0]["coefficient"] == "1"
+
+
+@pytest.mark.parametrize("args, columns", [
+    (["counts", "--q", "2", "--M", "3", "--d-max", "2"], cli._COUNT_COLUMNS),
+    (["series", "--q", "2", "--M", "3", "--T", "2", "--family", "sep", "--kind", "classes"],
+     cli._SERIES_COLUMNS),
+    (["verify", "--q", "2", "--M", "3", "--n-max", "2"], cli._VERIFY_COLUMNS),
+    (["table", "--q", "2", "--M", "3", "--n-max", "2"], cli._TABLE_COLUMNS),
+])
+def test_json_rows_follow_the_columns_and_the_csv(tmp_path, args, columns):
+    rc, text = run(tmp_path, args + ["--format", "json"], "out.json")
+    assert rc == 0
+    rows = json.loads(text)["rows"]
+    assert rows and all(tuple(row) == columns for row in rows)
+    rc, text = run(tmp_path, args)
+    assert rc == 0
+    header, *cells = csv.reader(text.splitlines())
+    assert tuple(header) == columns
+    assert cells == [[str(v) for v in row.values()] for row in rows]
 
 
 def test_meta_reports_T_only_for_series(tmp_path):
@@ -421,3 +450,23 @@ def test_failed_run_leaves_no_output_file(monkeypatch, tmp_path):
     path = tmp_path / "x.txt"
     assert main(["counts", "--q", "3", "--M", "2", "--d-max", "1", "--out", str(path)]) == 4
     assert not path.exists()
+
+
+BIG_PRIME = str(10**18 + 3)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "--q", "2", "--M", BIG_PRIME, "--n-max", "1"], 0),
+    (["series", "--q", "2", "--M", BIG_PRIME, "--family", "sep", "--kind", "classes",
+      "--T", "3"], 0),
+    (["counts", "--q", BIG_PRIME, "--M", "2", "--d-max", "1"], 3),  # the pair-field bound
+    (["series", "--q", BIG_PRIME, "--M", "2", "--family", "sep", "--kind", "classes",
+      "--T", "1"], 0),
+])
+def test_an_eighteen_digit_prime_q_or_M_is_decided_at_once(args, code):
+    # primality is Miller-Rabin, not trial division up to the square root
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "unitary_powers.cli", *args],
+                          env=env, capture_output=True, timeout=10)
+    assert proc.returncode == code, proc.stderr.decode()

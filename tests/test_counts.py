@@ -268,8 +268,9 @@ def test_odd_pair_leftover_raises(monkeypatch):
 
 
 def test_power_count_above_the_scim_count_raises(monkeypatch):
-    real = counts.count_scim
-    monkeypatch.setattr(counts, "count_mtilde_scim", lambda q, d, M: real(q, d) + 1)
+    # N~_M := N~ + 1 for M != 1; N~ itself is N~_1, which stays exact
+    real = counts.count_mtilde_scim
+    monkeypatch.setattr(counts, "count_mtilde_scim", lambda q, d, M: real(q, d, 1) + (M != 1))
     with pytest.raises(CountInvariantError):
         s_tilde_prime(2, 1, 3)
 

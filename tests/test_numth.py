@@ -1,13 +1,22 @@
 """The package's one square-and-multiply (`power`) and one order loop
 (`order_dividing`), against repeated multiplication on each element type
-that uses them: integers mod n, matrices, and polynomials mod f."""
+that uses them: integers mod n, matrices, and polynomials mod f; and the
+primality test and prime-power split, against a sieve and `factorint`."""
 
 import math
 import operator
 
 import pytest
 
-from unitary_powers._numth import euler_phi, order_dividing, power
+from unitary_powers._numth import (
+    EnumerationBoundError,
+    euler_phi,
+    factorint,
+    is_prime,
+    order_dividing,
+    power,
+    prime_power,
+)
 from unitary_powers.gf import make_field
 from unitary_powers.oracle import MatrixRep
 from unitary_powers.polyalg import Poly, irreducible_polys
@@ -87,3 +96,39 @@ def test_order_dividing_matches_brute_force_orders():
                 continue
             brute = order_by_walk(a, lambda x, y: x * y % n, 1)
             assert order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1) == brute
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * (2 * 10**5 - 1)
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [is_prime(n) for n in range(len(sieve))] == sieve
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the bases 2, 3, 5, 7, resp. 2..23
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_exact_bound():
+    assert is_prime(10**18 + 3)
+    assert not is_prime(2**100)  # a factor among the bases decides at any size
+    with pytest.raises(EnumerationBoundError):
+        is_prime(2**89 - 1)
+
+
+def test_prime_power_matches_factorisation():
+    for n in range(5000):
+        fac = factorint(n) if n else {}
+        try:
+            split = prime_power(n)
+        except ValueError:
+            split = None
+        assert split == (next(iter(fac.items())) if len(fac) == 1 else None), n
+    assert prime_power((10**6 + 3) ** 3) == (10**6 + 3, 3)
+    assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert prime_power(2**200) == (2, 200)
+    with pytest.raises(ValueError):
+        prime_power(10**30)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import unitary_powers
 from test_acceptance import ORACLE_PAIRS
+from test_numth import order_by_walk
 from unitary_powers import oracle
 from unitary_powers._numth import prime_power
 from unitary_powers.genfun import centralizer_order
@@ -182,6 +184,15 @@ def test_seed_elements_match_the_unitary_filter(n, q):
     seeds = oracle._seed_elements(desc, n)
     assert len(seeds) == len({A.codes for A in seeds})
     assert {A.codes for A in seeds} == filtered_seeds(desc, n)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3), (4, 2), (1, 257), (2, 17)])
+def test_seed_orders_equal_the_power_walk(n, q):
+    # the orders read off the seeds' form, against multiplying until I
+    desc = make_field(*prime_power(q), 1)
+    ident = MatrixRep.identity(desc, n)
+    for A, k in oracle._seed_elements(desc, n).items():
+        assert k == order_by_walk(A, operator.mul, ident), A.codes
 
 
 def test_non_unitary_monomial_seed_raises(monkeypatch):
