@@ -16,6 +16,7 @@ result checks.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
 class EnumerationBoundError(RuntimeError):
@@ -145,9 +146,12 @@ def mult_order(a: int, n: int) -> int:
     return order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1)
 
 
+@lru_cache(maxsize=256)
 def prime_power(n: int) -> tuple[int, int]:
     """Write n = p^l with p prime, or raise ValueError.  A composite p^l has
-    l as its largest exponent with an exact integer root, and p as that root."""
+    l as its largest exponent with an exact integer root, and p as that root.
+    Memoised (bounded), since every count validates its q; a refusal is an
+    exception, which the cache does not keep, so it is raised on every call."""
     if is_prime(n):
         return n, 1
     for l in range(n.bit_length() - 1, 1, -1):

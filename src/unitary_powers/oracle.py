@@ -604,11 +604,11 @@ def _seed_elements(desc: FieldDesc, n: int) -> dict:
         if is_unitary(A):
             seeds[A] = order_dividing(desc.p ** (n - 1),
                                       lambda k: power(A, k, operator.mul) == ident)
-    mul, inv, cj, log = desc.mul_c, desc.inv_c, desc.conj_c, desc.log_table
+    inv, cj, log, q = desc.inv_c, desc.conj_c, desc.log_table, desc.q
     half = n // 2
     choices = [range(1, Q)] * half
-    if n % 2:
-        choices.append([v for v in range(1, Q) if mul(v, cj(v)) == 1])
+    if n % 2:  # the norm-one circle v^(q+1) = 1: g^(k(q-1)), k = 0..q, ascending
+        choices.append(sorted(desc.exp_table[k * (q - 1)] for k in range(q + 1)))
     entries = [
         vals + tuple(inv(cj(a)) for a in reversed(vals[:half]))
         for vals in itertools.product(*choices)

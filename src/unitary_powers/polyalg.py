@@ -16,8 +16,26 @@ On top of that sit the power-map classifications: a SCIM f of degree d is an
 M~-power polynomial when f(x^M) has a SCIM factor of degree d, and a pair
 member f is an M-power polynomial when f(x^M) has an irreducible factor of
 degree d (equivalently, the companion matrix of f has an M-th root in
-GL(d, q^2)).  `butler_pattern` predicts the full factor-degree multiset of
-f(x^m) from the multiplicative order of the roots of f.
+GL(d, q^2)).  Neither test factors f(x^M): each asks whether F = f(x^M)
+shares a root with x^E - 1, by one `pow_mod(x, E, F)` and one gcd, with
+E = Q^d - 1 for a pair member (Q = q^2) and E = q^d + 1 for a SCIM.
+
+Why these exponents.  Every root b of F has b^M a root of f, which has
+degree d over F_Q, so d divides the degree of b; and b != 0, as f(0) != 0.
+So F has an irreducible factor of degree d exactly when some root b lies
+in F_(Q^d), that is when b^(Q^d - 1) = 1.  For a SCIM the factor must also
+be self-conjugate, and a monic irreducible g of odd degree d with g(0) != 0
+is a SCIM exactly when its roots b satisfy b^(q^d + 1) = 1.  Proof: write
+phi(x) = x^q; the roots of g are phi^(2i)(b) for integers i, and
+phi^(2i)(b) = b iff d | i.  g~ is irreducible with the root phi(b)^-1, so
+g = g~ iff b^-1 = phi^j(b) for some odd j.  If b^(q^d + 1) = 1, take j = d.
+Conversely, if b^-1 = phi^j(b) with j odd, then phi^(2j)(b) = b, so d | j;
+as j/d is odd and phi^(2d) fixes b, b^-1 = phi^j(b) = phi^d(b).  (The same
+argument shows that a SCIM has odd degree.)  A root b of F with
+b^(q^d + 1) = 1 lies in F_(Q^d), since q^d + 1 divides Q^d - 1, so its
+minimal polynomial is a degree-d factor of F, and a SCIM by the above.
+`butler_pattern` predicts the full factor-degree multiset of f(x^m) from
+the multiplicative order of the roots of f.
 
 Coefficients are the field's integer codes (`gf`), as everywhere in the
 package: `Poly` is built from codes and keeps them as `codes`, `Poly.linear`
@@ -434,21 +452,28 @@ def compose_power(f: Poly, M: int) -> Poly:
     return Poly(f.desc, out)
 
 
+def _shares_root_with_unity(f: Poly, M: int, E: int) -> bool:
+    """Does F = f(x^M) share a root with x^E - 1?  One gcd(F, x^E mod F - 1)."""
+    F = compose_power(f, M)
+    h = pow_mod(Poly.t(f.desc), E, F) - Poly.one(f.desc)
+    return gcd_poly(F, h).degree > 0
+
+
 def is_mtilde_power(f: Poly, M: int) -> bool:
-    """SCIM f of degree d: does f(x^M) have a SCIM factor of degree d?"""
+    """SCIM f of degree d: does f(x^M) have a SCIM factor of degree d?
+    Exactly when f(x^M) has a root b with b^(q^d + 1) = 1 (module docstring)."""
     if classify(f) is not PolyClass.SCIM:
         raise ValueError("M~-power classification applies to SCIM polynomials")
-    d = f.degree
-    return any(g.degree == d and tilde(g) == g for g, _ in factor(compose_power(f, M)))
+    return _shares_root_with_unity(f, M, f.desc.q ** f.degree + 1)
 
 
 def is_m_power_pair(f: Poly, M: int) -> bool:
     """Pair member f of degree d: does f(x^M) have an irreducible factor of
-    degree d?  (Equivalently C_f has an M-th root in GL(d, q^2).)"""
+    degree d?  (Equivalently C_f has an M-th root in GL(d, q^2).)  Exactly
+    when f(x^M) has a root in F_(Q^d) (module docstring)."""
     if classify(f) is not PolyClass.PAIR_MEMBER:
         raise ValueError("M-power classification applies to pair members")
-    d = f.degree
-    return any(g.degree == d for g, _ in factor(compose_power(f, M)))
+    return _shares_root_with_unity(f, M, f.desc.order ** f.degree - 1)
 
 
 def root_order(f: Poly) -> int:

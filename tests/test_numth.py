@@ -132,3 +132,10 @@ def test_prime_power_matches_factorisation():
     assert prime_power(2**200) == (2, 200)
     with pytest.raises(ValueError):
         prime_power(10**30)
+
+
+def test_prime_power_cache_is_bounded_and_keeps_no_refusal():
+    assert prime_power.cache_info().maxsize is not None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(6)

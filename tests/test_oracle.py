@@ -178,7 +178,9 @@ def filtered_seeds(desc, n):
     return {c for c in candidates if is_unitary(MatrixRep(desc, n, c))}
 
 
-@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3), (4, 2), (1, 257)])
+# U(1, q) is the norm-one circle, which the seeds read off the exp table
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3), (4, 2), (1, 257)]
+                         + [(1, q) for q in (4, 5, 7, 8, 9, 16, 17)])
 def test_seed_elements_match_the_unitary_filter(n, q):
     desc = make_field(*prime_power(q), 1)
     seeds = oracle._seed_elements(desc, n)

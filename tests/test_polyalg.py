@@ -143,8 +143,9 @@ def test_ben_or_agrees_with_the_sieve_on_every_monic(desc, max_deg):
 
 
 def test_factor_and_sieve_caches_are_bounded():
-    # one `enumerate` benchmark round keeps about 735 factorisations and 9
-    # sieved lists; the bounds hold a round without evicting
+    # `verify --q 8 --M 3 --n-max 2` keeps 81 factorisations and one
+    # `enumerate` benchmark round 9 sieved lists; the bounds hold such runs
+    # without evicting
     factor_max = factor.cache_info().maxsize
     sieve_max = irreducible_polys.cache_info().maxsize
     assert factor_max is not None and factor_max >= 1024
@@ -495,6 +496,33 @@ def test_m_power_pair_is_constant_on_pairs(desc):
                 continue
             for M in (2, 3, 5):
                 assert is_m_power_pair(f, M) == is_m_power_pair(tilde(f), M)
+
+
+# the gcd power tests against factor-based references: every SCIM and pair
+# member of the listed degrees, M = 1..8 (so p | M included); 24,912 pairs
+POWER_GRID = [((2, 1), 6), ((3, 1), 3), ((2, 2), 3), ((5, 1), 2), ((7, 1), 1)]
+
+
+@pytest.mark.parametrize("pl,d_max", POWER_GRID, ids=[f"q{p**l}-d{d}" for (p, l), d in POWER_GRID])
+def test_power_tests_match_factor_references(pl, d_max):
+    desc = make_field(*pl, 1)
+    mismatches = []
+    for d in range(1, d_max + 1):
+        for f in irreducible_polys(desc, d):
+            kind = classify(f)
+            if kind is PolyClass.LINEAR_T:
+                continue
+            for M in range(1, 9):
+                fs = factor(compose_power(f, M))
+                if kind is PolyClass.SCIM:
+                    ref = any(g.degree == d and tilde(g) == g for g, _ in fs)
+                    got = is_mtilde_power(f, M)
+                else:
+                    ref = any(g.degree == d for g, _ in fs)
+                    got = is_m_power_pair(f, M)
+                if got != ref:
+                    mismatches.append((str(f), M))
+    assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[:3]}"
 
 
 # ----------------------------------------------------------------------
