@@ -40,7 +40,6 @@ from .counts import (
     count_pairs,
     count_record,
     count_scim,
-    mobius,
     s_prime,
     s_tilde_prime,
 )

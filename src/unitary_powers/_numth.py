@@ -90,18 +90,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def mobius(n: int) -> int:
-    """Moebius function: (-1)^k on squarefree n with k prime factors, else 0."""
-    if n < 1:
-        raise ValueError(f"mobius undefined for {n}")
-    out = 1
-    for _, e in factorint(n).items():
-        if e > 1:
-            return 0
-        out = -out
-    return out
-
-
 def power(x, e: int, mul):
     """x^e for e >= 1, by square-and-multiply with the product `mul`.
 

@@ -38,6 +38,13 @@ __all__ = ["run_counts", "run_series", "run_verify", "run_table", "main"]
 # `verify --q 23 --M 2 --n-max 2` 5.6 s and 102 MB.
 VERIFY_ORDER_BOUND = 400_000
 
+# Largest pair field F_(q^(2d)) that `counts` and `series` reach: count rows
+# stop at d = 10, 6, 5, 4, 3 and series at T = 21, 13, 11, 9, 7 for q = 2, 3,
+# 4, 5 and 7-9.  The counts cost little at any d; the bound stands for the
+# series cost, which is not modelled yet.  `verify` needs no such check:
+# every U(n, q) within its order bound has q^(2 floor(n/2)) <= 529.
+PAIR_FIELD_BOUND = 1 << 20
+
 _COUNT_COLUMNS = (
     "q", "d", "M",
     "N_tilde", "N_tilde_M", "R_tilde", "R_tilde_M", "S_tilde_prime", "S_prime",
@@ -74,15 +81,27 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
+def check_pair_field(q: int, d: int):
+    """Refuse pair degree d when q^(2d) exceeds `PAIR_FIELD_BOUND`.  Since
+    q >= 2, a d with 2^(2d) over the bound is refused before q^(2d) is
+    formed, so a huge d costs nothing."""
+    if 2 * d >= PAIR_FIELD_BOUND.bit_length() or q ** (2 * d) > PAIR_FIELD_BOUND:
+        raise EnumerationBoundError(
+            f"pair degree d={d} at q={q}: q^(2d) exceeds the bound {PAIR_FIELD_BOUND}"
+        )
+
+
 def run_counts(args: argparse.Namespace) -> Report:
     counts._validate(args.q, 1, args.M)  # also when d_max = 0
-    rows = [tuple(vars(counts.count_record(args.q, d, args.M)).values())
-            for d in range(1, args.d_max + 1)]
+    check_pair_field(args.q, args.d_max)
+    records = (counts.count_record(args.q, d, args.M) for d in range(1, args.d_max + 1))
+    rows = [(*vars(r).values(), r.s_tilde_prime, r.s_prime) for r in records]
     return Report(_meta(args, d_max=args.d_max), _COUNT_COLUMNS, rows)
 
 
 def run_series(args: argparse.Namespace) -> Report:
     request = genfun.SeriesRequest(args.q, args.M, args.T, args.family, args.kind)
+    check_pair_field(args.q, args.T // 2)  # the largest pair degree
     s = genfun.series_for(request)
     rows = [(n, str(c), repr(float(c))) for n, c in enumerate(s.coeffs)]
     return Report(_meta(args, family=args.family.value, kind=args.kind.value), _SERIES_COLUMNS, rows)

@@ -44,11 +44,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
-from ._numth import EnumerationBoundError, InvariantError, mobius, prime_factors, prime_power
+from ._numth import InvariantError, prime_factors, prime_power
 
 __all__ = [
     "CountInvariantError",
-    "mobius",
     "count_scim",
     "count_mtilde_scim",
     "count_irreducible",
@@ -58,11 +57,7 @@ __all__ = [
     "s_prime",
     "CountRecord",
     "count_record",
-    "check_pair_field",
-    "PAIR_FIELD_BOUND",
 ]
-
-PAIR_FIELD_BOUND = 1 << 20
 
 
 class CountInvariantError(InvariantError):
@@ -148,20 +143,6 @@ def count_mpower_pairs(q: int, d: int, M: int) -> int:
     )
 
 
-def check_pair_field(q: int, d: int):
-    """Refuse pair degree d when q^(2d) exceeds `PAIR_FIELD_BOUND`.
-
-    Count tables stop at d = 10, 6, 5, 4, 3 and series at T = 21, 13, 11, 9,
-    7 for q = 2, 3, 4, 5 and 7-9.  The counts cost little at any d; the
-    bound stays because the series cost is not modelled yet (ROADMAP.md,
-    item 7).
-    """
-    if q ** (2 * d) > PAIR_FIELD_BOUND:
-        raise EnumerationBoundError(
-            f"pair degree d={d} at q={q}: q^(2d) exceeds the bound {PAIR_FIELD_BOUND}"
-        )
-
-
 def _leftover(total: int, powers: int) -> int:
     if powers > total:
         raise CountInvariantError(f"power count {powers} exceeds the total {total}")
@@ -180,7 +161,9 @@ def s_prime(q: int, d: int, M: int) -> int:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One row of the count table for fixed (q, d, M), in column order."""
+    """One row of the count table for fixed (q, d, M): the counted fields in
+    column order, then the leftovers S~'_M and S'_M, read through
+    `_leftover`."""
 
     q: int
     d: int
@@ -189,27 +172,19 @@ class CountRecord:
     n_tilde_M: int
     r_tilde: int
     r_tilde_M: int
-    s_tilde_prime: int
-    s_prime: int
 
-    def __post_init__(self):
-        ok = (
-            0 <= self.n_tilde_M <= self.n_tilde
-            and 0 <= self.r_tilde_M <= self.r_tilde
-            and self.s_tilde_prime == self.n_tilde - self.n_tilde_M
-            and self.s_prime == self.r_tilde - self.r_tilde_M
-        )
-        if not ok:
-            raise ValueError(f"inconsistent count record {self}")
+    @property
+    def s_tilde_prime(self) -> int:
+        return _leftover(self.n_tilde, self.n_tilde_M)
+
+    @property
+    def s_prime(self) -> int:
+        return _leftover(self.r_tilde, self.r_tilde_M)
 
 
 def count_record(q: int, d: int, M: int) -> CountRecord:
-    n = count_scim(q, d)
-    n_M = count_mtilde_scim(q, d, M)
-    r = count_pairs(q, d)
-    check_pair_field(q, d)
-    r_M = count_mpower_pairs(q, d, M)
-    return CountRecord(q, d, M, n, n_M, r, r_M, _leftover(n, n_M), _leftover(r, r_M))
+    return CountRecord(q, d, M, count_scim(q, d), count_mtilde_scim(q, d, M),
+                       count_pairs(q, d), count_mpower_pairs(q, d, M))
 
 
 def _validate(q: int, d: int, M: int = 1):

@@ -30,24 +30,23 @@ reciprocal centraliser order of the block (elements, `_block_centraliser`):
               q^(d(m-1)) (q^d + 1) for a SCIM, q^(2d(m-1)) (q^(2d) - 1)
               for a pair
   semisimple  partition [1^m]: (1 - z^d)^-N~_M, ..., (1 - z^(dM))^-S~'_M
-              for classes; centraliser |U(m, q^(2d))| for a SCIM,
+              for classes; centraliser |U(m, q^d)| for a SCIM,
               |GL(m, q^(2d))| for a pair
 
-Hypotheses: the cyclic series need gcd(M, q) = 1 (an M-th power of a
-unipotent block collapses when the characteristic divides M), and the
-semisimple series need M prime with gcd(M, q) = 1 (the degree dichotomy for
-f(x^M) holds factor by factor only for prime M).  M = 1 is accepted
-everywhere and yields the unrestricted all-matrices series, used as a sanity
-baseline.  `applicable_families` is the one statement of these hypotheses.
+Hypotheses: each family's series hold for the (q, M) that its entry in
+`_HYPOTHESES` admits, the one statement of them.  M = 1 is admitted
+everywhere and yields the unrestricted all-matrices series, used as a
+sanity baseline.
 
-`centralizer_order` gives |C_U(A)| for classes of the three supported shapes.
+`centralizer_order` gives |C_U(A)| for classes whose partitions are each
+[m] or [1^m], by the same block centralisers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from . import counts, polyalg, series
@@ -84,19 +83,23 @@ class Kind(str, Enum):
     ELEMENTS = "elements"
 
 
+# family -> (wording, predicate on (q, M)).  The cyclic series need
+# gcd(M, q) = 1: an M-th power of a unipotent block collapses when the
+# characteristic divides M.  The semisimple series also need M prime: the
+# degree dichotomy for f(x^M) holds factor by factor only for prime M.
 _HYPOTHESES = {
-    Family.CYCLIC: "gcd(M, q) = 1",
-    Family.SEMISIMPLE: "prime M with gcd(M, q) = 1",
+    Family.SEPARABLE: ("any M", lambda q, M: True),
+    Family.CYCLIC: ("gcd(M, q) = 1", lambda q, M: gcd(M, q) == 1),
+    Family.SEMISIMPLE: (
+        "prime M with gcd(M, q) = 1",
+        lambda q, M: gcd(M, q) == 1 and (M == 1 or is_prime(M)),
+    ),
 }
 
 
 def applicable_families(q: int, M: int) -> tuple[Family, ...]:
     """The families whose series hypotheses hold for (q, M), in `Family` order."""
-    if gcd(M, q) != 1:
-        return (Family.SEPARABLE,)
-    if M == 1 or is_prime(M):
-        return tuple(Family)
-    return (Family.SEPARABLE, Family.CYCLIC)
+    return tuple(f for f in Family if _HYPOTHESES[f][1](q, M))
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,12 @@ class SeriesRequest:
         counts._validate(self.q, 1, self.M)
         if self.T < 0:
             raise ValueError("truncation must be non-negative")
-        if self.family not in applicable_families(self.q, self.M):
+        wording, holds = _HYPOTHESES[self.family]
+        if not holds(self.q, self.M):
             raise ValueError(
-                f"{self.family.name.lower()} series require {_HYPOTHESES[self.family]}, "
+                f"{self.family.name.lower()} series require {wording}, "
                 f"got M={self.M}, q={self.q}"
             )
-        counts.check_pair_field(self.q, self.T // 2)  # the largest pair degree
 
 
 # ----------------------------------------------------------------------
@@ -158,13 +161,13 @@ def _factor_power(
             return series.binom_factor(block, 1, e, T)
         return series.binom_factor(block * step, 1, -e, T)
     if family is Family.SEPARABLE:
-        size = _class_size(q, block, _block_centraliser(q, d, pair, False, 1))
+        size = _class_size(q, block, _block_centraliser(q, d, pair, (1,)))
         return series.binom_factor(block, size, e, T, q)
-    semisimple = family is Family.SEMISIMPLE
 
-    def size(m):  # the class of the block with multiplicity m * step
-        n = block * m * step
-        return _class_size(q, n, _block_centraliser(q, d, pair, semisimple, m * step))
+    def size(m):  # the class of the block with multiplicity k = m * step
+        k = m * step
+        lam = (k,) if family is Family.CYCLIC else (1,) * k
+        return _class_size(q, block * k, _block_centraliser(q, d, pair, lam))
 
     return series.euler_factor(block, size, step, T, q) ** e
 
@@ -203,15 +206,19 @@ def ss_elem_series(q: int, M: int, T: int) -> Series:
 # centraliser orders
 # ----------------------------------------------------------------------
 
-def _block_centraliser(q: int, d: int, pair: bool, semisimple: bool, m: int) -> int:
+def _block_centraliser(q: int, d: int, pair: bool, lam: tuple[int, ...]) -> int:
     """|C_U| of the primary part of one polynomial of degree d (a SCIM, or
-    the member of a pair) with multiplicity m: partition [m] (cyclic) or
-    [1^m] (semisimple).  At m = 1 the two shapes agree."""
+    the member of a pair) with partition lam of m: [m] (cyclic) or [1^m]
+    (semisimple); any other shape raises `ValueError`.  At m = 1 the two
+    shapes agree."""
+    m, cyclic = sum(lam), len(lam) == 1
+    if not (cyclic or max(lam) == 1):
+        raise ValueError(f"block centralisers are only provided for [m] and [1^m], got {lam}")
     if pair:
         Q = q ** (2 * d)
-        return group_order_GL(m, Q) if semisimple else Q ** (m - 1) * (Q - 1)
+        return Q ** (m - 1) * (Q - 1) if cyclic else group_order_GL(m, Q)
     r = q**d
-    return group_order_U(m, r) if semisimple else r ** (m - 1) * (r + 1)
+    return r ** (m - 1) * (r + 1) if cyclic else group_order_U(m, r)
 
 
 def _class_size(q: int, n: int, centraliser: int) -> int:
@@ -225,27 +232,11 @@ def _class_size(q: int, n: int, centraliser: int) -> int:
 
 
 def centralizer_order(datum: "ConjugacyDatum", q: int) -> int:
-    """|C_U(A)| for a separable, cyclic, or semisimple conjugacy datum.
-
-    The product over the stored polynomials (SCIM, or the canonical member
-    of a pair) of `_block_centraliser`.  Separable data ([1] everywhere)
-    have both shapes and the formulas agree there.  Any other partition
-    shape is outside the supported families and is rejected.
-    """
+    """|C_U(A)| for a conjugacy datum whose partitions are each [m] or [1^m]:
+    the product over the stored polynomials (SCIM, or the canonical member
+    of a pair) of `_block_centraliser`, which refuses any other partition."""
     items = datum.items()
-    if not items:
-        return 1
     if any(p.desc.q != q for p, _ in items):
         raise ValueError("conjugacy datum does not live over F_q2 for this q")
-    cyclic_shape = all(len(lam) == 1 for _, lam in items)
-    semisimple_shape = all(set(lam) == {1} for _, lam in items)
-    if not (cyclic_shape or semisimple_shape):
-        raise ValueError(
-            "centraliser orders are only provided for separable, cyclic, or "
-            f"semisimple class data, got partitions {[lam for _, lam in items]}"
-        )
-    total = 1
-    for phi, lam in items:
-        pair = polyalg.tilde(phi) != phi
-        total *= _block_centraliser(q, phi.degree, pair, not cyclic_shape, sum(lam))
-    return total
+    return prod(_block_centraliser(q, phi.degree, polyalg.tilde(phi) != phi, lam)
+                for phi, lam in items)

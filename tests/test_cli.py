@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,15 @@ def test_failed_run_leaves_no_output_file(monkeypatch, tmp_path):
 BIG_PRIME = str(10**18 + 3)
 
 
+def cli_process(args):
+    """The exit code of the CLI in a fresh process, which must end within 10 s."""
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "unitary_powers.cli", *args],
+                          env=env, capture_output=True, timeout=10)
+    return proc.returncode, proc.stderr.decode()
+
+
 @pytest.mark.parametrize("args, code", [
     (["verify", "--q", "2", "--M", BIG_PRIME, "--n-max", "1"], 0),
     (["series", "--q", "2", "--M", BIG_PRIME, "--family", "sep", "--kind", "classes",
@@ -465,8 +475,46 @@ BIG_PRIME = str(10**18 + 3)
 ])
 def test_an_eighteen_digit_prime_q_or_M_is_decided_at_once(args, code):
     # primality is Miller-Rabin, not trial division up to the square root
-    src = str(Path(unitary_powers.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "unitary_powers.cli", *args],
-                          env=env, capture_output=True, timeout=10)
-    assert proc.returncode == code, proc.stderr.decode()
+    rc, err = cli_process(args)
+    assert rc == code, err
+
+
+@pytest.mark.parametrize("args", [
+    ["series", "--q", "2", "--M", "3", "--family", "sep", "--kind", "classes",
+     "--T", str(10**12)],
+    ["counts", "--q", "2", "--M", "3", "--d-max", str(10**12)],
+])
+def test_a_huge_pair_degree_is_refused_at_once(args):
+    # 2d > 20 is over the bound at every q >= 2, so q^(2d) is never formed
+    rc, err = cli_process(args)
+    assert rc == 3, err
+    assert "exceeds the bound" in err
+
+
+# Above the exact primality bound, with no factor among the test's bases:
+# only the semisimple hypothesis asks whether M is prime.
+HUGE_M = str(10**30 + 57)
+
+
+@pytest.mark.parametrize("family", ["sep", "cyc"])
+def test_a_huge_M_runs_every_family_that_needs_no_primality(tmp_path, family):
+    q, T = 3, 13
+    rc, text = run(tmp_path, ["series", "--q", str(q), "--M", HUGE_M, "--family", family,
+                              "--kind", "elements", "--T", str(T)])
+    assert rc == 0
+    at_M = [Fraction(row["coefficient"]) for row in parse_csv(text)]
+    at_1 = genfun.series_for(genfun.SeriesRequest(q, 1, T, genfun.Family(family),
+                                                  genfun.Kind.ELEMENTS)).coeffs
+    coprime = [n for n in range(T + 1) if gcd(int(HUGE_M), series.group_order_U(n, q)) == 1]
+    assert coprime and [at_M[n] for n in coprime] == [at_1[n] for n in coprime]
+
+
+def test_a_huge_M_verifies_and_refuses_only_the_semisimple_family(tmp_path):
+    rc, text = run(tmp_path, ["verify", "--q", "3", "--M", HUGE_M, "--n-max", "2",
+                              "--family", "sep", "--family", "cyc"])
+    assert rc == 0
+    rows = parse_csv(text)
+    assert len(rows) == 8 and all(row["status"] == "PASS" for row in rows)
+    assert main(["series", "--q", "3", "--M", HUGE_M, "--family", "ss", "--kind", "classes",
+                 "--T", "3"]) == 3
+    assert main(["verify", "--q", "3", "--M", HUGE_M, "--n-max", "2"]) == 3

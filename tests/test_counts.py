@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unitary_powers
-from unitary_powers import EnumerationBoundError, counts
+from unitary_powers import cli, counts
 from unitary_powers._numth import divisors, euler_phi, mult_order
 from unitary_powers.counts import (
     CountInvariantError,
@@ -23,11 +23,10 @@ from unitary_powers.counts import (
     count_pairs,
     count_record,
     count_scim,
-    mobius,
     s_prime,
     s_tilde_prime,
 )
-from unitary_powers.genfun import Family, Kind, SeriesRequest
+from unitary_powers.genfun import Family, Kind, SeriesRequest, series_for
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
     PolyClass,
@@ -54,14 +53,6 @@ def brute_mobius(n):
     if m > 1:
         fac.append(m)
     return 0 if len(fac) != len(set(fac)) else (-1) ** len(fac)
-
-
-def test_mobius():
-    assert mobius(1) == 1
-    assert mobius(4) == 0
-    assert mobius(6) == 1
-    for n in range(1, 60):
-        assert mobius(n) == brute_mobius(n)
 
 
 def scims(q, d):
@@ -194,12 +185,18 @@ def walk_mpower_pairs(q, d, M):
     return total // (2 * d)
 
 
-def test_pair_field_bound_refuses_count_rows_and_series():
-    with pytest.raises(EnumerationBoundError):
-        count_record(3, 7, 2)
-    with pytest.raises(EnumerationBoundError):
-        SeriesRequest(2, 3, 22, Family.SEPARABLE, Kind.CLASSES)
-    assert count_mpower_pairs(3, 7, 2) == walk_mpower_pairs(3, 7, 2)
+def test_pair_field_bound_refuses_in_the_cli_only():
+    # q^(2d) = 3^14 is over the CLI's pair-field bound; the library computes
+    # the row, and the CLI refuses it and the series one step past its cap
+    rec = count_record(3, 7, 2)
+    assert (rec.n_tilde, rec.n_tilde_M) == (memoir_scim(3, 7), paper_mtilde_scim(3, 7, 2))
+    assert (rec.r_tilde, rec.r_tilde_M) == (walk_mpower_pairs(3, 7, 1), walk_mpower_pairs(3, 7, 2))
+    assert (rec.s_tilde_prime, rec.s_prime) == (
+        rec.n_tilde - rec.n_tilde_M, rec.r_tilde - rec.r_tilde_M)
+    assert series_for(SeriesRequest(2, 3, 22, Family.SEPARABLE, Kind.CLASSES)).truncation == 22
+    assert cli.main(["counts", "--q", "3", "--M", "2", "--d-max", "7"]) == 3
+    assert cli.main(["series", "--q", "2", "--M", "3", "--family", "sep", "--kind",
+                     "classes", "--T", "22"]) == 3
 
 
 def test_leftover_counts():
@@ -223,9 +220,13 @@ def test_count_record_table():
 
 
 def test_count_record_rejects_inconsistency():
-    with pytest.raises(ValueError):
-        CountRecord(2, 1, 3, n_tilde=3, n_tilde_M=1, r_tilde=0, r_tilde_M=0,
-                    s_tilde_prime=1, s_prime=0)
+    # a leftover is read through `_leftover`, whatever built the record
+    rec = CountRecord(2, 1, 3, n_tilde=1, n_tilde_M=3, r_tilde=0, r_tilde_M=0)
+    with pytest.raises(CountInvariantError):
+        rec.s_tilde_prime
+    assert rec.s_prime == 0
+    with pytest.raises(CountInvariantError):
+        CountRecord(3, 1, 2, n_tilde=4, n_tilde_M=4, r_tilde=2, r_tilde_M=3).s_prime
 
 
 def only_the_first_mobius_term(d):

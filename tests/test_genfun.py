@@ -1,5 +1,6 @@
 """Generating functions: pinned coefficients, hypothesis gates, structural laws."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitary_powers import genfun
-from unitary_powers.counts import PAIR_FIELD_BOUND
+from unitary_powers.cli import PAIR_FIELD_BOUND
 from unitary_powers.genfun import (
     Family,
     Kind,
@@ -171,9 +172,9 @@ def test_centralizer_order_from_actual_matrices():
 
 def test_centralizer_order_rejects_unsupported_shapes():
     t_minus_1 = Poly.linear(F4, 1)
-    mixed = ConjugacyDatum(3, ((t_minus_1, (2, 1)),))
+    hook = ConjugacyDatum(3, ((t_minus_1, (2, 1)),))  # neither [m] nor [1^m]
     with pytest.raises(ValueError):
-        centralizer_order(mixed, 2)
+        centralizer_order(hook, 2)
     with pytest.raises(ValueError):
         centralizer_order(ConjugacyDatum(1, ((t_minus_1, (1,)),)), 3)  # wrong q
 
@@ -231,3 +232,23 @@ def test_M_coprime_to_the_group_order_changes_no_coefficient(q, T):
                     M, family, kind)
                 compared += len(coprime)
     assert compared
+
+
+# sha256 over the counts of every applicable series, both kinds, at each q of
+# CAP_T with its T and M = 1..12: 348 series.  A change to the assembly, the
+# hypotheses or the block centralisers that keeps the paper's series leaves
+# this digest as it is.
+SERIES_COUNTS_SHA256 = "6a0882781b4af67fcca14df7d4be6ad766254f721640a6a402939812e4c1a5da"
+
+
+def test_series_counts_are_pinned():
+    digest, built = hashlib.sha256(), 0
+    for q, T in CAP_T.items():
+        for M in range(1, 13):
+            for family in applicable_families(q, M):
+                for kind in Kind:
+                    s = series_for(SeriesRequest(q, M, T, family, kind))
+                    digest.update(f"{q} {M} {family.value} {kind.value} {s.counts}\n".encode())
+                    built += 1
+    assert built == 348
+    assert digest.hexdigest() == SERIES_COUNTS_SHA256

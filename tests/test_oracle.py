@@ -293,15 +293,25 @@ def test_wall_class_number(q, numbers):
     assert [_wall_class_number(n, q) for n in range(1, len(numbers) + 1)] == numbers
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (2, 5)])
+# classes whose partitions are each [m] or [1^m]; "mixed" ones have both
+# shapes, so they are neither cyclic nor semisimple
+BLOCK_SHAPED = {(1, 2): (3, 0), (2, 2): (9, 0), (3, 2): (21, 0), (1, 3): (4, 0),
+                (2, 3): (16, 0), (2, 4): (25, 0), (2, 5): (36, 0), (3, 3): (52, 0),
+                (4, 2): (45, 6)}
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3), (4, 2)])
 def test_wall_centraliser_matches_genfun_on_family_classes(n, q):
-    G = group_table(n, q)
-    checked = 0
-    for c in G.classes:
-        if c.kind.cyclic or c.kind.semisimple:
+    checked = mixed = 0
+    for c in group_table(n, q).classes:
+        if all(len(lam) == 1 or set(lam) == {1} for _, lam in c.datum.items()):
             assert _wall_centraliser_order(c.datum, q) == centralizer_order(c.datum, q)
             checked += 1
-    assert checked > 0
+            mixed += not (c.kind.cyclic or c.kind.semisimple)
+        else:
+            with pytest.raises(ValueError):
+                centralizer_order(c.datum, q)
+    assert (checked, mixed) == BLOCK_SHAPED[(n, q)]
 
 
 def fresh_classes(n, q):
