@@ -16,9 +16,23 @@ On top of that sit the power-map classifications: a SCIM f of degree d is an
 M~-power polynomial when f(x^M) has a SCIM factor of degree d, and a pair
 member f is an M-power polynomial when f(x^M) has an irreducible factor of
 degree d (equivalently, the companion matrix of f has an M-th root in
-GL(d, q^2)).  Neither test factors f(x^M): each asks whether F = f(x^M)
-shares a root with x^E - 1, by one `pow_mod(x, E, F)` and one gcd, with
-E = Q^d - 1 for a pair member (Q = q^2) and E = q^d + 1 for a SCIM.
+GL(d, q^2)).  Neither test builds f(x^M): each is one `pow_mod` modulo f,
+asking whether x^(E / (E, M)) = 1 modulo f, with E = Q^d - 1 for a pair
+member (Q = q^2) and E = q^d + 1 for a SCIM.  The work is that of
+arithmetic modulo a polynomial of degree d, and M enters only through
+gcd(E, M), so an M of any size is decided at once.
+
+Why one power of x modulo f.  The roots of f lie in the cyclic group C_E:
+in F_(Q^d)^* for a pair member, and in its subgroup of order q^d + 1 for
+a SCIM (by the argument below, applied to f itself).  By the next
+paragraph, the test asks whether F = f(x^M) has a root b in C_E.  Such a b
+has b^M = a for a root a of f; conversely, if a = b^M with b in C_E, then
+b is a root of F.  So the test asks whether a lies in the image of the
+M-th power map on C_E, which for a cyclic group is its subgroup
+C_(E / (E, M)), the elements a with a^(E / (E, M)) = 1.  The roots of f
+are conjugate, so one root passes exactly when all do, and that is
+x^(E / (E, M)) = 1 in F_Q[x]/(f).  Nothing here needs gcd(M, p) = 1 or M
+prime.
 
 Why these exponents.  Every root b of F has b^M a root of f, which has
 degree d over F_Q, so d divides the degree of b; and b != 0, as f(0) != 0.
@@ -452,28 +466,31 @@ def compose_power(f: Poly, M: int) -> Poly:
     return Poly(f.desc, out)
 
 
-def _shares_root_with_unity(f: Poly, M: int, E: int) -> bool:
-    """Does F = f(x^M) share a root with x^E - 1?  One gcd(F, x^E mod F - 1)."""
-    F = compose_power(f, M)
-    h = pow_mod(Poly.t(f.desc), E, F) - Poly.one(f.desc)
-    return gcd_poly(F, h).degree > 0
+def _roots_are_mth_powers(f: Poly, M: int, E: int) -> bool:
+    """For irreducible f whose roots lie in the cyclic group C_E: are they
+    M-th powers there?  Exactly when a^(E / (E, M)) = 1 for a root a, that is
+    when x^(E / (E, M)) = 1 modulo f."""
+    if M < 1:
+        raise ValueError(f"M = {M} must be a positive integer")
+    return pow_mod(Poly.t(f.desc), E // gcd(E, M), f) == Poly.one(f.desc)
 
 
 def is_mtilde_power(f: Poly, M: int) -> bool:
     """SCIM f of degree d: does f(x^M) have a SCIM factor of degree d?
-    Exactly when f(x^M) has a root b with b^(q^d + 1) = 1 (module docstring)."""
+    Exactly when the roots of f are M-th powers in the norm-one group of
+    order q^d + 1 (module docstring)."""
     if classify(f) is not PolyClass.SCIM:
         raise ValueError("M~-power classification applies to SCIM polynomials")
-    return _shares_root_with_unity(f, M, f.desc.q ** f.degree + 1)
+    return _roots_are_mth_powers(f, M, f.desc.q ** f.degree + 1)
 
 
 def is_m_power_pair(f: Poly, M: int) -> bool:
     """Pair member f of degree d: does f(x^M) have an irreducible factor of
     degree d?  (Equivalently C_f has an M-th root in GL(d, q^2).)  Exactly
-    when f(x^M) has a root in F_(Q^d) (module docstring)."""
+    when the roots of f are M-th powers in F_(Q^d)^* (module docstring)."""
     if classify(f) is not PolyClass.PAIR_MEMBER:
         raise ValueError("M-power classification applies to pair members")
-    return _shares_root_with_unity(f, M, f.desc.order ** f.degree - 1)
+    return _roots_are_mth_powers(f, M, f.desc.order ** f.degree - 1)
 
 
 def root_order(f: Poly) -> int:

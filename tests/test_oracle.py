@@ -39,10 +39,9 @@ from unitary_powers.oracle import (
 )
 from unitary_powers.polyalg import (
     Poly,
-    PolyClass,
-    classify,
     factor,
     irreducible_polys,
+    is_m_power_pair,
     is_mtilde_power,
     root_order,
 )
@@ -699,11 +698,20 @@ def test_check_block_power_rejects_bad_inputs():
 
 
 def test_unitary_root_existence_matches_is_mtilde_power():
-    G = group_table(1, 2)
-    for f in irreducible_polys(F4, 1):
-        if classify(f) is not PolyClass.SCIM:
-            continue
-        C = companion(f)
-        for M in range(2, 7):
-            has_root = any((A**M) == C for A in G.elements)
-            assert has_root == is_mtilde_power(f, M), (str(f), M)
+    # the definition: t - a is an M~-power iff a = b^M for some b on the
+    # norm-one circle b^(q+1) = 1, and an M-power pair member iff a = b^M
+    # for some b in F_Q^*; q = 2, 3, 4, 5, 7, 8, 9 and M = 1..12, so p | M
+    # is included
+    for p, l in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        desc, q = make_field(p, l, 1), p**l
+        units = range(1, desc.order)
+        circle = {b for b in units if desc.pow_c(b, q + 1) == 1}
+        for M in range(1, 13):
+            circle_powers = {desc.pow_c(b, M) for b in circle}
+            unit_powers = {desc.pow_c(b, M) for b in units}
+            for a in units:
+                f = Poly.linear(desc, a)
+                if a in circle:
+                    assert is_mtilde_power(f, M) == (a in circle_powers), (q, a, M)
+                else:
+                    assert is_m_power_pair(f, M) == (a in unit_powers), (q, a, M)

@@ -498,7 +498,7 @@ def test_m_power_pair_is_constant_on_pairs(desc):
                 assert is_m_power_pair(f, M) == is_m_power_pair(tilde(f), M)
 
 
-# the gcd power tests against factor-based references: every SCIM and pair
+# the pow_mod power tests against factor-based references: every SCIM and pair
 # member of the listed degrees, M = 1..8 (so p | M included); 24,912 pairs
 POWER_GRID = [((2, 1), 6), ((3, 1), 3), ((2, 2), 3), ((5, 1), 2), ((7, 1), 1)]
 
@@ -523,6 +523,33 @@ def test_power_tests_match_factor_references(pl, d_max):
                 if got != ref:
                     mismatches.append((str(f), M))
     assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[:3]}"
+
+
+HUGE_M = (10**18 + 3, 10**30 + 57)
+
+
+@pytest.mark.parametrize("desc,d_max", [(F4, 3), (F9, 2)], ids=["GF4", "GF9"])
+def test_power_tests_depend_on_M_only_through_its_gcd_with_E(desc, d_max):
+    # the roots lie in a cyclic group of order E, whose M-th powers are its
+    # (E, M)-th powers; a huge M costs no more than a small one
+    q, Q = desc.q, desc.order
+    huge_times = []
+    for d in range(1, d_max + 1):
+        for f in irreducible_polys(desc, d):
+            kind = classify(f)
+            if kind is PolyClass.LINEAR_T:
+                continue
+            if kind is PolyClass.SCIM:
+                test, E = is_mtilde_power, q**d + 1
+            else:
+                test, E = is_m_power_pair, Q**d - 1
+            for M in (*range(1, 13), *HUGE_M, E, desc.p**5 * E):
+                start = time.perf_counter()
+                got = test(f, M)
+                if M in HUGE_M:
+                    huge_times.append(time.perf_counter() - start)
+                assert got == test(f, gcd(M, E)), (str(f), M)
+    assert max(huge_times) < 0.5, f"a huge M took {max(huge_times):.3f} s"
 
 
 # ----------------------------------------------------------------------
