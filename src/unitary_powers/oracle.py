@@ -17,8 +17,9 @@ closure ends.  The group stays packed: only class representatives become
 `MatrixRep`, and the full element list is built on request.
 
 The conjugacy datum of an invertible matrix maps the irreducible factors of
-its characteristic polynomial to partitions, read off the kernel dimensions
-of powers of phi(A), with tilde-conjugate pairs stored once.  By Wall (1963)
+its characteristic polynomial (by Bareiss elimination on tI - A) to
+partitions, read off the kernel dimensions of powers of phi(A), with
+tilde-conjugate pairs stored once.  By Wall (1963)
 it determines the U-conjugacy class, and Wall gives the centraliser order of
 every datum and the number of classes of U(n, q).
 
@@ -80,14 +81,18 @@ class OracleInvariantError(InvariantError):
 class MatrixRep:
     """Immutable n x n matrix over a `FieldDesc` field, stored as a flat
     row-major tuple of coefficient codes (which also serves as its hash key).
+    The entries must be integer codes (`operator.index`) in [0, Q); products
+    build their results unchecked.
     """
 
     __slots__ = ("desc", "n", "codes")
 
     def __init__(self, desc: FieldDesc, n: int, codes):
-        codes = tuple(codes)
+        codes = tuple(map(operator.index, codes))
         if len(codes) != n * n:
             raise ValueError("entry vector does not match the dimension")
+        if codes and not (0 <= min(codes) and max(codes) < desc.order):
+            raise ValueError(f"entry codes must lie in [0, {desc.order})")
         self.desc = desc
         self.n = n
         self.codes = codes
@@ -116,7 +121,7 @@ class MatrixRep:
                     if aik:
                         s = add(s, mul(aik, b[k * n + j]))
                 out.append(s)
-        return MatrixRep(self.desc, n, out)
+        return _matrix(self.desc, n, out)
 
     def __pow__(self, e: int) -> "MatrixRep":
         if e < 0:
@@ -135,6 +140,14 @@ class MatrixRep:
 
     def __repr__(self):
         return f"MatrixRep({self.n}x{self.n} over GF({self.desc.order}), {self.codes})"
+
+
+def _matrix(desc: FieldDesc, n: int, codes) -> MatrixRep:
+    """Internal constructor for results whose codes lie in [0, Q) by
+    construction: skips the validation of `MatrixRep.__init__`."""
+    A = object.__new__(MatrixRep)
+    A.desc, A.n, A.codes = desc, n, tuple(codes)
+    return A
 
 
 def is_unitary(A: MatrixRep) -> bool:
@@ -185,44 +198,43 @@ def _rank(desc: FieldDesc, rows: list[list[int]]) -> int:
 
 
 def char_poly(A: MatrixRep) -> Poly:
-    """det(tI - A), computed by cofactor expansion on the polynomial matrix."""
-    desc = A.desc
-    n = A.n
-    entries = [
-        [
-            Poly(desc, (desc.neg_c(A.codes[i * n + j]), 1) if i == j
-                 else (desc.neg_c(A.codes[i * n + j]),))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(desc, entries)
+    """det(tI - A), by Bareiss's fraction-free elimination (1968) on the
+    polynomial matrix tI - A over F_q2[t], in O(n^3) polynomial operations.
 
-
-def _poly_det(desc: FieldDesc, m: list[list[Poly]]) -> Poly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Poly.zero(desc)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * _poly_det(desc, minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    After step k, entry (i, j) with i, j > k is the minor of tI - A on rows
+    0..k, i and columns 0..k, j (Sylvester's identity), so each division by
+    the previous pivot is exact.  The pivot of step k is the leading
+    principal minor of order k + 1, the characteristic polynomial of the
+    leading (k + 1) x (k + 1) block of A: monic of degree k + 1, so no pivot
+    vanishes and no pivoting is needed.  A nonzero remainder raises
+    `OracleInvariantError`.
+    """
+    desc, n, a = A.desc, A.n, A.codes
+    m = [[Poly(desc, (desc.neg_c(a[i * n + j]), 1) if i == j else (desc.neg_c(a[i * n + j]),))
+          for j in range(n)] for i in range(n)]
+    prev = Poly.one(desc)
+    for k in range(n - 1):
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                quot, rem = divmod(row[j] * pivot - row[k] * row_k[j], prev)
+                if not rem.is_zero():
+                    raise OracleInvariantError("a Bareiss step left a remainder")
+                row[j] = quot
+        prev = pivot
+    return m[-1][-1]
 
 
 def _poly_at_matrix(f: Poly, A: MatrixRep) -> MatrixRep:
     desc, n = A.desc, A.n
-    result = MatrixRep(desc, n, (0,) * (n * n))
+    result = _matrix(desc, n, (0,) * (n * n))
     for c in reversed(f.codes):
         result = result * A
         if c:
             codes = list(result.codes)
             for i in range(n):
                 codes[i * n + i] = desc.add_c(codes[i * n + i], c)
-            result = MatrixRep(desc, n, codes)
+            result = _matrix(desc, n, codes)
     return result
 
 
@@ -390,7 +402,7 @@ def _pack(A: MatrixRep) -> tuple[int, ...]:
 
 def _unpack(desc: FieldDesc, n: int, rows) -> MatrixRep:
     Q = desc.order
-    return MatrixRep(desc, n, [r // Q ** (n - 1 - j) % Q for r in rows for j in range(n)])
+    return _matrix(desc, n, [r // Q ** (n - 1 - j) % Q for r in rows for j in range(n)])
 
 
 class _Memo(dict):

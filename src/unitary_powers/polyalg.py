@@ -53,13 +53,14 @@ the multiplicative order of the roots of f.
 
 Coefficients are the field's integer codes (`gf`), as everywhere in the
 package: `Poly` is built from codes and keeps them as `codes`, `Poly.linear`
-takes the code of its root, and evaluation returns a code.  The ring
-operations of `Poly` (sums, negation, scaling, derivative, products,
-divisions) and `tilde` read the field's log tables inline rather than
-calling its per-element operations: the logs of one operand's nonzero
-coefficients are taken once, each term costs one `exp_table` lookup, and
-terms are summed by XOR in characteristic 2 and by an inline Zech step
-otherwise.
+takes the code of its root, and evaluation returns a code.  `Poly` accepts
+only integer codes (`operator.index`) in [0, Q); the ring operations build
+their results unchecked.  The ring operations of `Poly` (sums, negation,
+scaling, products, divisions) and `tilde` read the field's log tables
+inline rather than calling its per-element operations: the logs of one
+operand's nonzero coefficients are taken once, each term costs one
+`exp_table` lookup, and terms are summed by XOR in characteristic 2 and by
+an inline Zech step otherwise.
 
 `is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
 split that factorisation uses: a monic f of degree d is irreducible iff
@@ -72,9 +73,13 @@ squarefree.
 construction; it is of a private `Poly` subclass, for which `classify` skips
 the test.  Every other polynomial gets the full test.
 
-Factorisation is squarefree decomposition, then distinct-degree splitting,
-then Cantor-Zassenhaus equal-degree splitting with random splitters (Cantor &
-Zassenhaus 1981; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+Factorisation is distinct-degree splitting, then Cantor-Zassenhaus
+equal-degree splitting with random splitters (Cantor & Zassenhaus 1981;
+von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  No squarefree
+stage comes first: the distinct-degree split strips the degree-i factors of
+f layer by layer, each layer a squarefree product, so an irreducible of
+multiplicity e comes out of e layers, and `factor` counts how often each
+factor comes out.
 Each random splitter separates two of the factors with probability >= 1/2,
 so a split needs about two tries; the tries are capped at `_EDF_MAX_TRIES`,
 and reaching the cap raises `FactorisationError`, since it means the input
@@ -83,14 +88,15 @@ come from a `random.Random` seeded in code from (deg h, e), so every run
 makes the same tries; and because factorisation is unique and `factor` sorts
 its output, the result would not depend on the splitters in any case.
 
-Invariants that guard results (multiply-back, p-th roots, integral factor
-counts, splitter exhaustion) raise `FactorisationError`, which survives
+Invariants that guard results (multiply-back, integral factor counts,
+splitter exhaustion) raise `FactorisationError`, which survives
 `python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from enum import Enum
 from functools import lru_cache
@@ -142,7 +148,7 @@ class Poly:
     __slots__ = ("desc", "codes")
 
     def __init__(self, desc: FieldDesc, codes=()):
-        codes = list(map(int, codes))
+        codes = list(map(operator.index, codes))
         while codes and codes[-1] == 0:
             codes.pop()
         for c in codes:
@@ -152,10 +158,6 @@ class Poly:
         self.codes = tuple(codes)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, desc):
-        return cls(desc)
 
     @classmethod
     def one(cls, desc):
@@ -290,13 +292,6 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.desc.inv_c(self.codes[-1]))
-
-    def derivative(self) -> "Poly":
-        desc = self.desc
-        log, exp, p = desc.log_table, desc.exp_table, desc.p
-        # i * c_i, with i mod p the code of a prime-field element
-        return _poly(desc, [exp[log[c] + log[i % p]] if c and i % p else 0
-                            for i, c in enumerate(self.codes[1:], 1)])
 
     def __call__(self, a: int) -> int:
         """The value at the code a, as a code (Horner's rule)."""
@@ -534,52 +529,22 @@ def butler_pattern(d: int, t: int, m: int, Q: int) -> tuple[tuple[int, int], ...
 
 
 # ----------------------------------------------------------------------
-# factorisation: squarefree -> distinct degree -> equal degree
+# factorisation: distinct degree -> equal degree
 # ----------------------------------------------------------------------
 
-def _pth_root(f: Poly) -> Poly:
-    """g with g^p = f, for f whose exponents are all divisible by p."""
-    desc = f.desc
-    e = desc.order // desc.p
-    if any(c for i, c in enumerate(f.codes) if i % desc.p):
-        raise FactorisationError("polynomial is not a p-th power")
-    codes = f.codes[:: desc.p]
-    return Poly(desc, [desc.pow_c(c, e) for c in codes])
-
-
-def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """f = prod g_i^e_i with the g_i squarefree and pairwise coprime."""
-    out = []
-    base = 1
-    p = f.desc.p
-    while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero():
-            f = _pth_root(f)
-            base *= p
-            continue
-        c = gcd_poly(f, df)
-        w = f // c
-        j = 1
-        while w.degree > 0:
-            y = gcd_poly(w, c)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, base * j))
-            w = y
-            c = c // y
-            j += 1
-        if c.degree > 0:
-            f = _pth_root(c)
-            base *= p
-        else:
-            break
-    return out
-
-
 def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic g into (product of degree-i irreducibles, i).
-    For any monic g, squarefree or not, it is [(g, deg g)] iff g is irreducible."""
+    """Split monic g into layers (d, i), each d a squarefree product of
+    degree-i irreducibles, whose product is g.
+
+    At step i, g has no factor of degree < i left, so d = gcd(g, x^(Q^i) - x)
+    is the product of its distinct degree-i irreducibles; `g //= d;
+    d = gcd(g, d)` then peels the next layer, those of multiplicity >= 2,
+    and so on until d = 1.  An irreducible of multiplicity e thus lies in
+    exactly e layers.  The loop stops once deg g < 2i: a repeated factor or
+    a product of two factors of degree >= i would need degree >= 2i, so
+    what is left is 1 or irreducible.  Hence the split is [(g, deg g)]
+    exactly when g is irreducible.
+    """
     desc = g.desc
     Q = desc.order
     x = Poly.t(desc)
@@ -589,10 +554,11 @@ def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
     while g.degree >= 2 * i:
         h = pow_mod(h, Q, g)
         d = gcd_poly(g, h - x)
-        if d.degree > 0:
+        while d.degree > 0:
             parts.append((d, i))
             g = g // d
-            h = h % g
+            d = gcd_poly(g, d)
+        h = h % g
         i += 1
     if g.degree > 0:
         parts.append((g, g.degree))
@@ -661,16 +627,19 @@ def _equal_degree(h: Poly, e: int) -> list[Poly]:
 def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     """Complete factorisation of monic f (degree >= 1) into monic
     irreducibles, as ((factor, multiplicity), ...) sorted by
-    (degree, coefficient codes); the 4096 most recently used are kept."""
+    (degree, coefficient codes); the 4096 most recently used are kept.
+
+    Each layer of `_distinct_degree` is squarefree and an irreducible of
+    multiplicity e lies in e layers, so the multiplicity of a factor is the
+    number of times `_equal_degree` returns it."""
     if f.degree < 1:
         raise ValueError("factorisation is about polynomials of degree >= 1")
     if not f.is_monic():
         raise ValueError("factorisation requires a monic polynomial")
     found: dict[Poly, int] = {}
-    for g, e in _squarefree_decomposition(f):
-        for part, d in _distinct_degree(g):
-            for h in _equal_degree(part, d):
-                found[h] = found.get(h, 0) + e
+    for part, d in _distinct_degree(f):
+        for h in _equal_degree(part, d):
+            found[h] = found.get(h, 0) + 1
     out = tuple(sorted(found.items(), key=lambda pair: pair[0].sort_key()))
     check = Poly.one(f.desc)
     for g, e in out:

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import operator
 import os
+import random
+import time
 import subprocess
 import sys
 from math import ceil, gcd, log2
@@ -655,6 +657,75 @@ def test_block_matrix_examples():
         for m in (1, 2, 3):
             fac = factor(char_poly(block_matrix(f, m)))
             assert fac == ((f, m),)
+
+
+def _cofactor_char_poly(A):
+    """Reference det(tI - A): cofactor expansion along the first row."""
+    desc, n = A.desc, A.n
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        total = Poly(desc)
+        for j, entry in enumerate(m[0]):
+            if entry.is_zero():
+                continue
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = entry * det(minor)
+            total = total + (term if j % 2 == 0 else -term)
+        return total
+
+    t = Poly.t(desc)
+    return det([[(t if i == j else Poly(desc)) - Poly(desc, (A.codes[i * n + j],))
+                 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n,q", ORACLE_PAIRS + [(3, 3)])
+def test_char_poly_matches_cofactor_expansion_on_group_elements(n, q):
+    for A in group_table(n, q).elements:
+        assert char_poly(A) == _cofactor_char_poly(A)
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["GF4", "GF9", "GF16", "GF25"])
+def test_char_poly_matches_cofactor_expansion_on_random_matrices(p, l):
+    desc = make_field(p, l, 1)
+    rng = random.Random(1968)
+    for n in range(1, 8):
+        for _ in range(24 if n < 5 else 3):
+            codes = [rng.randrange(desc.order) for _ in range(n * n)]
+            if rng.random() < 0.5:  # sparse: zero entries and zero minors
+                codes = [c if rng.random() < 0.3 else 0 for c in codes]
+            A = MatrixRep(desc, n, codes)
+            assert char_poly(A) == _cofactor_char_poly(A)
+
+
+def test_char_poly_remainder_raises(monkeypatch):
+    exact = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: (exact(a, b)[0], Poly.one(a.desc)))
+    with pytest.raises(OracleInvariantError):
+        char_poly(MatrixRep(F9, 2, (1, 2, 0, 1)))
+
+
+def test_char_poly_is_polynomial_time():
+    # cofactor expansion would take 10! products per matrix
+    rng = random.Random(10)
+    start = time.perf_counter()
+    for _ in range(10):
+        A = MatrixRep(F9, 10, [rng.randrange(9) for _ in range(100)])
+        assert char_poly(A).degree == 10
+    assert time.perf_counter() - start < 2.0
+
+
+def test_matrices_are_built_from_codes_in_range():
+    for bad in (-1, 4, 7):
+        with pytest.raises(ValueError):
+            MatrixRep(F4, 1, [bad])
+    for bad in (1.5, 1.0, "3"):
+        with pytest.raises(TypeError):
+            MatrixRep(F4, 1, [bad])
+    with pytest.raises(ValueError):
+        MatrixRep(F4, 2, [1, 0, 0])
+    assert MatrixRep(F4, 1, [3]).codes == (3,)
 
 
 def test_companion_char_poly_roundtrip():

@@ -105,6 +105,15 @@ def test_polynomials_are_built_from_codes_and_evaluate_to_codes():
                 Poly(desc, (bad, 1))
 
 
+def test_poly_rejects_codes_that_are_not_integers():
+    # a float or a string is no code: it is neither truncated nor parsed
+    for bad in (1.5, 1.0, "3"):
+        with pytest.raises(TypeError):
+            Poly(F4, (bad, 1))
+        with pytest.raises(TypeError):
+            Poly(F4, (1, bad))
+
+
 def test_tilde_rejects_zero_constant_term():
     with pytest.raises(ValueError):
         tilde(Poly.t(F4))
@@ -266,8 +275,6 @@ def test_linear_kernels_and_tilde_match_the_schoolbook_reference(operands):
     lead = b.codes[-1]
     assert a.scale(lead) == Poly(desc, [mul(x, lead) for x in a.codes])
     assert a.scale(0).is_zero()
-    # i * c_i, with i mod p the code of a prime-field element
-    assert a.derivative() == Poly(desc, [mul(x, i % desc.p) for i, x in enumerate(a.codes)][1:])
     f = Poly(desc, [mul(x, desc.inv_c(lead)) for x in b.codes])
     assert b.monic() == f
     if f.codes[0]:
@@ -423,6 +430,30 @@ def test_factor_handles_pth_power_shapes():
     h = compose_power(f, 2)
     fs = factor(h)
     assert sum(g.degree * m for g, m in fs) == 4
+
+
+F16 = make_field(2, 2, 1)
+F25 = make_field(5, 1, 1)
+
+
+@pytest.mark.parametrize("desc", [F4, F16, F9, F25], ids=lambda d: f"GF{d.order}")
+def test_factor_returns_multiplicities_at_and_above_p(desc):
+    # prod g_i^e_i of distinct sieved irreducibles of degrees 1, 1, 2, 2, 3,
+    # the exponents {1, p, p + 1, 2p, p^2} rotated over them: two factors of
+    # one degree with different multiplicities share the layers of the
+    # distinct-degree split, and every exponent meets every degree
+    p = desc.p
+    exps = [1, p, p + 1, 2 * p, p * p]
+    irr1, irr2, irr3 = (irreducible_polys(desc, d) for d in (1, 2, 3))
+    gs = [irr1[1], irr1[2], irr2[0], irr2[1], irr3[0]]
+    for r in range(len(exps)):
+        es = exps[r:] + exps[:r]
+        f = Poly.one(desc)
+        for g, e in zip(gs, es):
+            for _ in range(e):
+                f = f * g
+        want = tuple(sorted(zip(gs, es), key=lambda pair: pair[0].sort_key()))
+        assert factor.__wrapped__(f) == want
 
 
 # ----------------------------------------------------------------------
