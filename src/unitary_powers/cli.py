@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from . import __version__, counts, genfun, oracle
+from . import __version__, counts, genfun
 from ._numth import EnumerationBoundError, InvariantError
 from .genfun import Family, Kind
 from .series import group_order_U
@@ -60,12 +60,11 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class Report:
-    meta: dict
-    columns: tuple[str, ...]
-    rows: list[tuple]  # one value per column, in column order
-    failed: bool = False
+class Report(namedtuple("Report", "meta columns rows failed", defaults=(False,))):
+    """A finished run: the JSON meta, the column names, the rows (one value
+    per column, in column order) and whether a check failed."""
+
+    __slots__ = ()
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -95,7 +94,7 @@ def run_counts(args: argparse.Namespace) -> Report:
     counts._validate(args.q, 1, args.M)  # also when d_max = 0
     check_pair_field(args.q, args.d_max)
     records = (counts.count_record(args.q, d, args.M) for d in range(1, args.d_max + 1))
-    rows = [(*vars(r).values(), r.s_tilde_prime, r.s_prime) for r in records]
+    rows = [(*r, r.s_tilde_prime, r.s_prime) for r in records]
     return Report(_meta(args, d_max=args.d_max), _COUNT_COLUMNS, rows)
 
 
@@ -107,7 +106,9 @@ def run_series(args: argparse.Namespace) -> Report:
     return Report(_meta(args, family=args.family.value, kind=args.kind.value), _SERIES_COLUMNS, rows)
 
 
-def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, order: int) -> Fraction:
+def _oracle_counts(
+    pic: "oracle.PowerImageCounts", family: Family, kind: Kind, order: int
+) -> Fraction:
     tag = family.name.lower()  # its key in PowerImageCounts
     if kind is Kind.CLASSES:
         return Fraction(pic.classes[tag])
@@ -117,13 +118,16 @@ def _oracle_counts(pic: oracle.PowerImageCounts, family: Family, kind: Kind, ord
 def _oracle_pass(q: int, M: int, n_max: int):
     """(G, power_image_counts(G, M)) for G = U(n, q), n = 1..n_max, the one
     power-map pass of `verify` and `table`.  The order bound is checked at
-    once; each group is built, or taken from the cache, when iterated."""
+    once; each group is built, or taken from the cache, when iterated.  The
+    oracle layer is loaded here, so `counts` and `series` never load it."""
     for n in range(1, n_max + 1):
         order = group_order_U(n, q)
         if order > VERIFY_ORDER_BOUND:
             raise EnumerationBoundError(
                 f"U({n},{q}) has order {order}, beyond the oracle bound {VERIFY_ORDER_BOUND}"
             )
+    from . import oracle
+
     groups = (oracle.group_table(n, q) for n in range(1, n_max + 1))
     return ((G, oracle.power_image_counts(G, M)) for G in groups)
 

@@ -40,7 +40,7 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd, prod
 
@@ -159,19 +159,12 @@ def s_prime(q: int, d: int, M: int) -> int:
     return _leftover(count_pairs(q, d), count_mpower_pairs(q, d, M))
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(namedtuple("CountRecord", "q d M n_tilde n_tilde_M r_tilde r_tilde_M")):
     """One row of the count table for fixed (q, d, M): the counted fields in
     column order, then the leftovers S~'_M and S'_M, read through
     `_leftover`."""
 
-    q: int
-    d: int
-    M: int
-    n_tilde: int
-    n_tilde_M: int
-    r_tilde: int
-    r_tilde_M: int
+    __slots__ = ()
 
     @property
     def s_tilde_prime(self) -> int:

@@ -44,17 +44,13 @@ sanity baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd, prod
-from typing import TYPE_CHECKING
 
-from . import counts, polyalg, series
+from . import counts, series
 from ._numth import is_prime
 from .series import Series, SeriesInvariantError, group_order_GL, group_order_U
-
-if TYPE_CHECKING:
-    from .oracle import ConjugacyDatum
 
 __all__ = [
     "Family",
@@ -102,24 +98,27 @@ def applicable_families(q: int, M: int) -> tuple[Family, ...]:
     return tuple(f for f in Family if _HYPOTHESES[f][1](q, M))
 
 
-@dataclass(frozen=True)
-class SeriesRequest:
-    q: int
-    M: int
-    T: int
-    family: Family
-    kind: Kind
+class SeriesRequest(namedtuple("SeriesRequest", "q M T family kind")):
+    """One series: (q, M), the truncation T, the family and the kind.  A
+    request whose q, M or T is invalid, or whose family hypothesis fails,
+    is refused when it is made (`ValueError`)."""
 
-    def __post_init__(self):
-        counts._validate(self.q, 1, self.M)
-        if self.T < 0:
+    __slots__ = ()
+
+    def __new__(cls, q: int, M: int, T: int, family: Family, kind: Kind):
+        counts._validate(q, 1, M)
+        if T < 0:
             raise ValueError("truncation must be non-negative")
-        wording, holds = _HYPOTHESES[self.family]
-        if not holds(self.q, self.M):
+        wording, holds = _HYPOTHESES[family]
+        if not holds(q, M):
             raise ValueError(
-                f"{self.family.name.lower()} series require {wording}, "
-                f"got M={self.M}, q={self.q}"
+                f"{family.name.lower()} series require {wording}, got M={M}, q={q}"
             )
+        return super().__new__(cls, q, M, T, family, kind)
+
+    @classmethod
+    def _make(cls, iterable):  # so that `_replace` checks too
+        return cls(*iterable)
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +230,13 @@ def _class_size(q: int, n: int, centraliser: int) -> int:
     return size
 
 
-def centralizer_order(datum: "ConjugacyDatum", q: int) -> int:
+def centralizer_order(datum: "oracle.ConjugacyDatum", q: int) -> int:
     """|C_U(A)| for a conjugacy datum whose partitions are each [m] or [1^m]:
     the product over the stored polynomials (SCIM, or the canonical member
-    of a pair) of `_block_centraliser`, which refuses any other partition."""
+    of a pair) of `_block_centraliser`, which refuses any other partition.
+    Only this function needs `polyalg`, which is loaded here."""
+    from . import polyalg
+
     items = datum.items()
     if any(p.desc.q != q for p, _ in items):
         raise ValueError("conjugacy datum does not live over F_q2 for this q")

@@ -38,10 +38,10 @@ matter and the truncated result is exact.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Callable, Optional
 
 from ._numth import InvariantError
 
@@ -62,7 +62,7 @@ class SeriesInvariantError(InvariantError):
 
 
 @lru_cache(maxsize=16)
-def _weights(q: Optional[int], T: int) -> tuple[tuple[int, ...], ...]:
+def _weights(q: int | None, T: int) -> tuple[tuple[int, ...], ...]:
     """Rows n = 0..T of c(n, i), i = 0..n: all 1 for q = None, else the
     U-binomials at q by Pascal's rule (module docstring)."""
     if q is None:
@@ -85,7 +85,7 @@ class Series:
 
     __slots__ = ("truncation", "counts", "q")
 
-    def __init__(self, truncation: int, counts, q: Optional[int] = None):
+    def __init__(self, truncation: int, counts, q: int | None = None):
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
         if len(counts) != truncation + 1:
@@ -158,7 +158,7 @@ class Series:
         return " + ".join(f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c)
 
 
-def _series(T: int, counts: list, q: Optional[int]) -> Series:
+def _series(T: int, counts: list, q: int | None) -> Series:
     """Internal constructor for the results of the ring operations, whose
     counts are ints with counts[0] = 1, without the checks of `__init__`."""
     s = object.__new__(Series)
@@ -166,11 +166,11 @@ def _series(T: int, counts: list, q: Optional[int]) -> Series:
     return s
 
 
-def one(T: int, q: Optional[int] = None) -> Series:
+def one(T: int, q: int | None = None) -> Series:
     return Series(T, [1] + [0] * T, q)
 
 
-def binom_factor(d: int, count: int, e: int, T: int, q: Optional[int] = None) -> Series:
+def binom_factor(d: int, count: int, e: int, T: int, q: int | None = None) -> Series:
     """(1 + count z^d)^e for e >= 0, and (1 - count z^d)^e for e < 0, in
     count form under the weights of q, truncated at T."""
     if d < 1:
@@ -182,7 +182,7 @@ def binom_factor(d: int, count: int, e: int, T: int, q: Optional[int] = None) ->
 
 
 def euler_factor(
-    d: int, sizes: Callable[[int], int], step: int, T: int, q: Optional[int] = None
+    d: int, sizes: Callable[[int], int], step: int, T: int, q: int | None = None
 ) -> Series:
     """1 + sum over m >= 1 with d*m*step <= T of sizes(m) z^(d*m*step), in
     count form under the weights of q."""

@@ -456,13 +456,17 @@ def test_failed_run_leaves_no_output_file(monkeypatch, tmp_path):
 BIG_PRIME = str(10**18 + 3)
 
 
-def cli_process(args):
-    """The exit code of the CLI in a fresh process, which must end within 10 s."""
-    src = str(Path(unitary_powers.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "unitary_powers.cli", *args],
-                          env=env, capture_output=True, timeout=10)
+def cli_process(args, python_args=()):
+    """The exit code and stderr of the CLI in a fresh process, which must end
+    within 10 s; `python_args` go to the interpreter."""
+    proc = subprocess.run([sys.executable, *python_args, "-m", "unitary_powers.cli", *args],
+                          env=_fresh_env(), capture_output=True, timeout=10)
     return proc.returncode, proc.stderr.decode()
+
+
+def _fresh_env():
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.mark.parametrize("args, code", [
@@ -518,3 +522,60 @@ def test_a_huge_M_verifies_and_refuses_only_the_semisimple_family(tmp_path):
     assert main(["series", "--q", "3", "--M", HUGE_M, "--family", "ss", "--kind", "classes",
                  "--T", "3"]) == 3
     assert main(["verify", "--q", "3", "--M", HUGE_M, "--n-max", "2"]) == 3
+
+
+def _imported(importtime_text):
+    # the module column of `python -X importtime` lines
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_text.splitlines()
+            if line.startswith("import time:")}
+
+
+def modules_loaded(args):
+    """The modules a fresh CLI process on args loads beyond those of a bare
+    interpreter, as `python -X importtime` reports them."""
+    rc, err = cli_process(args, ("-X", "importtime"))
+    assert rc == 0, err
+    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", ""], env=_fresh_env(),
+                          capture_output=True, timeout=10)
+    return _imported(err) - _imported(bare.stderr.decode())
+
+
+COLD_ONLY = {"unitary_powers.oracle", "unitary_powers.polyalg", "unitary_powers.gf",
+             "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("args", [
+    ["counts", "--q", "2", "--M", "2", "--d-max", "0"],
+    ["series", "--q", "2", "--M", "5", "--family", "ss", "--kind", "elements", "--T", "21"],
+])
+def test_counts_and_series_never_load_the_oracle_layer(args):
+    # the package resolves its exports lazily and the CLI loads the oracle
+    # only for verify and table, so a cold start compiles none of it
+    added = modules_loaded(args)
+    assert {"unitary_powers.counts", "unitary_powers.genfun"} <= added
+    assert added & COLD_ONLY == set()
+
+
+def test_verify_loads_the_oracle_layer():
+    added = modules_loaded(["verify", "--q", "2", "--M", "3", "--n-max", "2"])
+    assert {"unitary_powers.oracle", "unitary_powers.polyalg", "unitary_powers.gf"} <= added
+
+
+# sha256 over the CSV and the JSON `counts` output for each q of the series
+# benchmark at its d_max and M = 2..7: 84 outputs, byte for byte.
+COUNTS_D = {2: 10, 3: 6, 4: 5, 5: 4, 7: 3, 8: 3, 9: 3}
+COUNTS_OUTPUT_SHA256 = "3b29a1816eb8e51aebfe9b24eb8be028771853b41a1fa19b04cb2f274cc5f1c2"
+
+
+def test_counts_output_is_pinned(tmp_path):
+    digest, written = hashlib.sha256(), 0
+    for q, d_max in COUNTS_D.items():
+        for M in range(2, 8):
+            for fmt in ("csv", "json"):
+                rc, text = run(tmp_path, ["counts", "--q", str(q), "--M", str(M),
+                                          "--d-max", str(d_max), "--format", fmt])
+                assert rc == 0
+                digest.update(text.encode())
+                written += 1
+    assert written == 84
+    assert digest.hexdigest() == COUNTS_OUTPUT_SHA256

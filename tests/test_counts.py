@@ -229,6 +229,21 @@ def test_count_record_rejects_inconsistency():
         CountRecord(3, 1, 2, n_tilde=4, n_tilde_M=4, r_tilde=2, r_tilde_M=3).s_prime
 
 
+def test_count_record_is_an_immutable_value():
+    rec = count_record(3, 1, 2)
+    assert CountRecord._fields == ("q", "d", "M", "n_tilde", "n_tilde_M", "r_tilde", "r_tilde_M")
+    assert tuple(rec) == (3, 1, 2, 4, 2, 2, 0)  # the CLI's row for q = 3, M = 2, d = 1
+    assert (rec.s_tilde_prime, rec.s_prime) == (2, 2)
+    for field in ("q", "n_tilde", "s_prime"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0  # no instance dict
+    twin = CountRecord(3, 1, 2, 4, 2, 2, 0)
+    assert twin == rec and hash(twin) == hash(rec)
+    assert len({rec, twin, count_record(3, 1, 3)}) == 2
+
+
 def only_the_first_mobius_term(d):
     # no primes of d leaves only the l = 1 term: N~(2, 5) then sums to
     # 2^5 + 1 = 33, not a multiple of 5

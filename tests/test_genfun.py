@@ -94,6 +94,34 @@ def test_series_request_dispatch():
         SeriesRequest(2, 2, 4, Family.SEMISIMPLE, Kind.CLASSES)
 
 
+def test_series_request_is_an_immutable_value_checked_when_made():
+    req = SeriesRequest(3, 2, 5, Family.CYCLIC, Kind.ELEMENTS)
+    assert SeriesRequest._fields == ("q", "M", "T", "family", "kind")
+    assert tuple(req) == (3, 2, 5, Family.CYCLIC, Kind.ELEMENTS)
+    for field in SeriesRequest._fields:
+        with pytest.raises(AttributeError):
+            setattr(req, field, 1)
+    with pytest.raises(AttributeError):
+        req.extra = 0  # no instance dict
+    twin = SeriesRequest(3, 2, 5, Family.CYCLIC, Kind.ELEMENTS)
+    assert twin == req and hash(twin) == hash(req)
+    assert twin != SeriesRequest(3, 2, 6, Family.CYCLIC, Kind.ELEMENTS)
+    with pytest.raises(ValueError, match="truncation must be non-negative"):
+        SeriesRequest(3, 2, -1, Family.CYCLIC, Kind.ELEMENTS)
+    with pytest.raises(ValueError, match="cyclic series require gcd"):
+        SeriesRequest(3, 3, 5, Family.CYCLIC, Kind.ELEMENTS)
+    with pytest.raises(ValueError, match="semisimple series require prime M"):
+        SeriesRequest(3, 4, 5, Family.SEMISIMPLE, Kind.CLASSES)
+    with pytest.raises(ValueError, match="not a prime power"):
+        SeriesRequest(6, 5, 5, Family.SEPARABLE, Kind.CLASSES)
+    # a copy with a changed field is checked like a new request
+    assert req._replace(T=7) == SeriesRequest(3, 2, 7, Family.CYCLIC, Kind.ELEMENTS)
+    with pytest.raises(ValueError, match="truncation"):
+        req._replace(T=-1)
+    with pytest.raises(ValueError, match="cyclic series require"):
+        req._replace(M=6)
+
+
 @pytest.mark.parametrize("q,M", [(2, 3), (2, 5), (3, 2), (3, 5)])
 def test_separable_classes_nest_in_cyclic_and_semisimple(q, M):
     T = 10

@@ -1,9 +1,13 @@
 """Source checks: result-guarding invariants must survive `python -O`, every
-export resolves, every exception has one of the two error bases, and README's
-library sketch runs."""
+export resolves, the package's public names stay as they are and load
+lazily, every exception has one of the two error bases, and README's library
+sketch runs."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,61 @@ def test_readme_library_sketch_runs():
     section = readme.split("## Library sketch", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md (Library sketch)", "exec"), {})
+
+
+PUBLIC = (
+    "ConjugacyDatum", "CountInvariantError", "CountRecord", "EnumerationBoundError",
+    "FactorisationError", "Family", "FieldDesc", "FieldInvariantError", "GroupTable",
+    "InvariantError", "Kind", "MatrixClassKind", "MatrixRep", "OracleInvariantError",
+    "Poly", "PolyClass", "Series", "SeriesInvariantError", "SeriesRequest",
+    "binom_factor", "block_matrix", "build_group", "butler_pattern",
+    "centralizer_order", "char_poly", "check_block_power", "classify",
+    "classify_matrix", "companion", "compose_power", "count_irreducible",
+    "count_mpower_pairs", "count_mtilde_scim", "count_pairs", "count_record",
+    "count_scim", "counts", "cyc_class_series", "cyc_elem_series", "datum_of",
+    "euler_factor", "factor", "genfun", "gf", "gl_class_data", "group_order_GL",
+    "group_order_U", "group_table", "is_irreducible", "is_m_power_pair",
+    "is_mtilde_power", "make_field", "oracle", "polyalg", "power_image_counts",
+    "s_prime", "s_tilde_prime", "sep_class_series", "sep_elem_series", "series",
+    "series_for", "ss_class_series", "ss_elem_series", "tilde",
+)
+SUBMODULES = ("counts", "genfun", "gf", "oracle", "polyalg", "series")
+
+
+def test_public_names_are_pinned():
+    assert sorted(unitary_powers.__all__) == sorted(PUBLIC)
+    assert len(PUBLIC) == 64
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_is_the_object_of_its_module(name):
+    obj = getattr(unitary_powers, name)
+    if name in SUBMODULES:
+        assert obj is importlib.import_module(f"unitary_powers.{name}")
+        return
+    assert obj.__module__.startswith("unitary_powers.")
+    assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_lazy_exports_read_as_attributes():
+    from unitary_powers import oracle
+
+    assert unitary_powers.group_table is oracle.group_table
+    assert "__all__" in dir(unitary_powers)
+    assert set(PUBLIC) <= set(dir(unitary_powers))
+    with pytest.raises(AttributeError, match="no attribute 'applicable_families'"):
+        unitary_powers.applicable_families  # genfun's, not exported
+    namespace = {}
+    exec("from unitary_powers import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()
+
+
+def test_a_bare_package_import_loads_no_submodule():
+    src = str(Path(unitary_powers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, unitary_powers\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('unitary_powers.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
