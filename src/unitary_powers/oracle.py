@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
@@ -242,30 +241,34 @@ def _poly_at_matrix(f: Poly, A: MatrixRep) -> MatrixRep:
 # conjugacy data
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugacyDatum:
+class ConjugacyDatum(namedtuple("ConjugacyDatum", "n assignments")):
     """Class label: polynomial -> partition, pairs stored once.
 
     `assignments` maps each SCIM factor, or the smaller member of each
     tilde-conjugate pair, to a non-empty partition (a non-increasing tuple).
     The total sum of |partition| * degree, counting pairs twice, is n, and t
-    never appears (the data label invertible classes only).
+    never appears (the data label invertible classes only); a datum that
+    breaks this is refused when it is made (`ValueError`).
     """
 
-    n: int
-    assignments: tuple[tuple[Poly, tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, assignments: tuple[tuple[Poly, tuple[int, ...]], ...]):
         total = 0
-        for phi, lam in self.assignments:
+        for phi, lam in assignments:
             if not lam or list(lam) != sorted(lam, reverse=True):
                 raise ValueError(f"invalid partition {lam}")
             if phi.codes[:1] == (0,):
                 raise ValueError("the polynomial t cannot label an invertible class")
             weight = 1 if polyalg.tilde(phi) == phi else 2
             total += weight * sum(lam) * phi.degree
-        if total != self.n:
-            raise ValueError(f"partition sizes sum to {total}, expected {self.n}")
+        if total != n:
+            raise ValueError(f"partition sizes sum to {total}, expected {n}")
+        return super().__new__(cls, n, assignments)
+
+    @classmethod
+    def _make(cls, iterable):  # so that `_replace` checks too
+        return cls(*iterable)
 
     def items(self) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
         return self.assignments
@@ -274,12 +277,10 @@ class ConjugacyDatum:
         return ";".join(f"{phi}:{'+'.join(map(str, lam))}" for phi, lam in self.assignments)
 
 
-@dataclass(frozen=True)
-class MatrixClassKind:
+class MatrixClassKind(namedtuple("MatrixClassKind", "cyclic semisimple")):
     """Family flags; a class is separable iff it is cyclic and semisimple."""
 
-    cyclic: bool
-    semisimple: bool
+    __slots__ = ()
 
     @property
     def separable(self) -> bool:
@@ -429,16 +430,10 @@ def _row_table(S: MatrixRep) -> _Memo:
     return _Memo(times)
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(namedtuple("ConjClass", "rep size datum kind group number")):
     """The `number`-th of `group.classes`; `member_codes` is built on first use."""
 
-    rep: MatrixRep
-    size: int
-    datum: ConjugacyDatum
-    kind: MatrixClassKind
-    group: "GroupTable" = field(repr=False, compare=False)
-    number: int = field(repr=False, compare=False)
+    __slots__ = ()
 
     @property
     def member_codes(self) -> frozenset:
@@ -713,17 +708,11 @@ def group_table(n: int, q: int) -> GroupTable:
 _FAMILIES = ("all", "separable", "cyclic", "semisimple")
 
 
-@dataclass(frozen=True)
-class PowerImageCounts:
-    """Element and class counts of {g^M : g in G}, per matrix family, and
-    whether each of `G.classes` lies in it."""
+class PowerImageCounts(namedtuple("PowerImageCounts", "n q M elements classes in_image")):
+    """Element and class counts of {g^M : g in G}, per matrix family (dicts
+    keyed by family), and whether each of `G.classes` lies in it."""
 
-    n: int
-    q: int
-    M: int
-    elements: dict
-    classes: dict
-    in_image: tuple
+    __slots__ = ()
 
 
 def power_image_counts(G: GroupTable, M: int) -> PowerImageCounts:

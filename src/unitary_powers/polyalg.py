@@ -57,10 +57,16 @@ takes the code of its root, and evaluation returns a code.  `Poly` accepts
 only integer codes (`operator.index`) in [0, Q); the ring operations build
 their results unchecked.  The ring operations of `Poly` (sums, negation,
 scaling, products, divisions) and `tilde` read the field's log tables
-inline rather than calling its per-element operations: the logs of one
-operand's nonzero coefficients are taken once, each term costs one
+inline rather than calling its per-element operations: each term costs one
 `exp_table` lookup, and terms are summed by XOR in characteristic 2 and by
-an inline Zech step otherwise.
+an inline Zech step otherwise.  Every product and every remainder of the
+layer runs in one of two kernels on code lists: `_product`, which takes
+the logs of one operand's nonzero coefficients once, and `_remainder`,
+which takes the logs of a modulus's terms once and returns a function that
+reduces any code list modulo it in place.  `Poly.__mul__`, `__divmod__`
+and `__mod__` wrap them; `pow_mod`, the characteristic-2 trace of
+`_edf_split` and the sieve call them on plain lists, so a square-and-multiply
+builds one `Poly`, for its result.
 
 `is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
 split that factorisation uses: a monic f of degree d is irreducible iff
@@ -221,28 +227,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b, desc = self.codes, other.codes, self.desc
-        if not a or not b:
-            return _poly(desc, [])
-        log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
-        terms = [(j, log[c]) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            la = log[c]
-            if zech is None:
-                for j, lb in terms:
-                    out[i + j] ^= exp[la + lb]
-                continue
-            for j, lb in terms:  # out[i + j] += g^(la + lb)
-                o = out[i + j]
-                if o:
-                    t = zech[la + lb - log[o]]  # g^lo + g^l = g^(lo + zech[l - lo])
-                    out[i + j] = exp[log[o] + t] if t >= 0 else 0
-                else:
-                    out[i + j] = exp[la + lb]
-        return _poly(desc, out)
+        return _poly(self.desc, _product(self.desc, self.codes, other.codes))
 
     def scale(self, code: int) -> "Poly":
         desc = self.desc
@@ -253,40 +238,15 @@ class Poly:
         return _poly(desc, [exp[log[c] + lc] if c else 0 for c in self.codes])
 
     def __divmod__(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        desc, rem, b = self.desc, list(self.codes), other.codes
-        db, n = len(b) - 1, desc.order - 1
-        log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
-        lead = log[b[-1]]
-        neg = 0 if zech is None else n // 2  # -1 = g^neg
-        # logs of -b_j below the lead; rem[i] is not read after its step
-        terms = [(j, (log[c] + neg) % n) for j, c in enumerate(b[:db]) if c]
-        quot = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            if not rem[i]:
-                continue
-            lf = (log[rem[i]] - lead) % n
-            s = i - db
-            quot[s] = exp[lf]
-            if zech is None:
-                for j, lb in terms:
-                    rem[s + j] ^= exp[lf + lb]
-                continue
-            for j, lb in terms:  # rem[s + j] -= g^lf * b_j
-                o = rem[s + j]
-                if o:
-                    t = zech[lf + lb - log[o]]
-                    rem[s + j] = exp[log[o] + t] if t >= 0 else 0
-                else:
-                    rem[s + j] = exp[lf + lb]
-        return _poly(desc, quot), _poly(desc, rem[:db])
+        quot = [0] * max(len(self.codes) - other.degree, 0)
+        rem = _remainder(self.desc, other.codes)(list(self.codes), quot)
+        return _poly(self.desc, quot), _poly(self.desc, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return _poly(self.desc, _remainder(self.desc, other.codes)(list(self.codes)))
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
@@ -349,6 +309,78 @@ def _poly(desc: FieldDesc, codes: list, cls=Poly) -> Poly:
 
 
 # ----------------------------------------------------------------------
+# list kernels: the one product and the one remainder of the layer
+# ----------------------------------------------------------------------
+
+def _product(desc: FieldDesc, a, b) -> list:
+    """The codes of the product of the code sequences a and b."""
+    if not a or not b:
+        return []
+    log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
+    terms = [(j, log[c]) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        la = log[c]
+        if zech is None:
+            for j, lb in terms:
+                out[i + j] ^= exp[la + lb]
+            continue
+        for j, lb in terms:  # out[i + j] += g^(la + lb)
+            o = out[i + j]
+            if o:
+                t = zech[la + lb - log[o]]  # g^lo + g^l = g^(lo + zech[l - lo])
+                out[i + j] = exp[log[o] + t] if t >= 0 else 0
+            else:
+                out[i + j] = exp[la + lb]
+    return out
+
+
+def _remainder(desc: FieldDesc, modulus):
+    """The remainder modulo the code sequence `modulus` (nonzero, else
+    `ZeroDivisionError`), as a function `reduce(codes, quot=None)`: it
+    reduces the list `codes` in place, writes the quotient into `quot` when
+    one is given (of length >= len(codes) - deg modulus), and returns
+    `codes` cut below deg modulus, without trailing zeros.  The logs of the
+    modulus's lead and of its other terms, negated, are taken once here."""
+    if not modulus:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, n = len(modulus) - 1, desc.order - 1
+    log, exp, zech = desc.log_table, desc.exp_table, desc.zech_table
+    lead = log[modulus[-1]]
+    neg = 0 if zech is None else n // 2  # -1 = g^neg
+    # logs of -b_j below the lead; codes[i] is not read after its step
+    terms = [(j, (log[c] + neg) % n) for j, c in enumerate(modulus[:db]) if c]
+
+    def reduce(codes: list, quot=None) -> list:
+        for i in range(len(codes) - 1, db - 1, -1):
+            if not codes[i]:
+                continue
+            lf = (log[codes[i]] - lead) % n
+            s = i - db
+            if quot is not None:
+                quot[s] = exp[lf]
+            if zech is None:
+                for j, lb in terms:
+                    codes[s + j] ^= exp[lf + lb]
+                continue
+            for j, lb in terms:  # codes[s + j] -= g^lf * b_j
+                o = codes[s + j]
+                if o:
+                    t = zech[lf + lb - log[o]]
+                    codes[s + j] = exp[log[o] + t] if t >= 0 else 0
+                else:
+                    codes[s + j] = exp[lf + lb]
+        del codes[db:]
+        while codes and codes[-1] == 0:
+            codes.pop()
+        return codes
+
+    return reduce
+
+
+# ----------------------------------------------------------------------
 # gcd and modular exponentiation
 # ----------------------------------------------------------------------
 
@@ -359,9 +391,14 @@ def gcd_poly(a: Poly, b: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """base^e modulo a nonzero modulus, for e >= 0: square-and-multiply on
+    code lists, with one remainder function for the modulus."""
+    desc = base.desc
+    reduce = _remainder(desc, modulus.codes)
     if e == 0:
-        return Poly.one(base.desc)
-    return power(base % modulus, e, lambda a, b: (a * b) % modulus)
+        return Poly.one(desc)
+    x = reduce(list(base.codes))
+    return _poly(desc, power(x, e, lambda a, b: reduce(_product(desc, a, b))))
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +434,11 @@ def irreducible_polys(desc: FieldDesc, degree: int) -> tuple[Poly, ...]:
     Q = desc.order
     keep = bytearray(b"\x01") * Q**degree
     for e in range(1, degree // 2 + 1):
-        hs = [_poly(desc, [*tail, 1]) for tail in itertools.product(range(Q), repeat=degree - e)]
+        hs = [(*tail, 1) for tail in itertools.product(range(Q), repeat=degree - e)]
         for g in irreducible_polys(desc, e):
             for h in hs:
                 k = 0
-                for c in (g * h).codes[:degree]:
+                for c in _product(desc, g.codes, h)[:degree]:
                     k = k * Q + c
                 keep[k] = 0
     tails = itertools.compress(itertools.product(range(Q), repeat=degree), keep)
@@ -585,17 +622,19 @@ def _edf_split(h: Poly, e: int) -> Poly:
     desc = h.desc
     Q, n = desc.order, h.degree
     rng = random.Random((_EDF_SEED << 32) | (n << 16) | e)
-    one = Poly.one(desc)
+    one, reduce = Poly.one(desc), _remainder(desc, h.codes)
     bits = e * desc.degree  # for p = 2: Q^e = 2^bits
     exp = (Q**e - 1) // 2
     for _ in range(_EDF_MAX_TRIES):
         r = _poly(desc, [rng.randrange(Q) for _ in range(n)])
         if desc.p == 2:
-            cur = acc = r
-            for _ in range(bits - 1):
-                cur = (cur * cur) % h
-                acc = acc + cur
-            tests = (acc,)
+            cur, acc = list(r.codes), [0] * n
+            for k in range(bits):  # acc = r + r^2 + ... + r^(2^(bits - 1))
+                if k:
+                    cur = reduce(_product(desc, cur, cur))
+                for i, c in enumerate(cur):
+                    acc[i] ^= c
+            tests = (_poly(desc, acc),)
         else:
             # an r sharing a factor with h splits it too; counting that
             # case is what lifts the success chance to >= 1/2

@@ -557,8 +557,11 @@ def test_counts_and_series_never_load_the_oracle_layer(args):
 
 
 def test_verify_loads_the_oracle_layer():
+    # the oracle's records are named tuples, so not even verify loads
+    # dataclasses (and with it inspect)
     added = modules_loaded(["verify", "--q", "2", "--M", "3", "--n-max", "2"])
     assert {"unitary_powers.oracle", "unitary_powers.polyalg", "unitary_powers.gf"} <= added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 # sha256 over the CSV and the JSON `counts` output for each q of the series

@@ -21,7 +21,9 @@ from unitary_powers._numth import prime_power
 from unitary_powers.genfun import centralizer_order
 from unitary_powers.gf import _field, make_field
 from unitary_powers.oracle import (
+    ConjugacyDatum,
     GroupTable,
+    MatrixClassKind,
     MatrixRep,
     OracleInvariantError,
     PowerImageCounts,
@@ -633,6 +635,34 @@ def test_power_image_counts_compare_every_field():
     )
     G = group_table(2, 2)
     assert power_image_counts(G, 2) == power_image_counts(G, 2)
+
+
+def test_oracle_records_are_immutable_values_checked_when_made():
+    G, twin = build_group(1, 2), build_group(1, 2)
+    c = G.classes[0]
+    assert type(c)._fields == ("rep", "size", "datum", "kind", "group", "number")
+    assert c.group is G and c.number == 0 and c.member_codes == G._member_codes[0]
+    # equal fields but another group object: a different class
+    assert twin.classes[0][:4] == c[:4] and twin.classes[0] != c
+    dm, kind = c.datum, c.kind
+    assert type(dm)._fields == ("n", "assignments") and dm == (1, dm.assignments)
+    assert kind == (True, True) and kind.separable
+    assert not MatrixClassKind(True, False).separable
+    for record, field in ((c, "size"), (dm, "n"), (kind, "cyclic"),
+                          (power_image_counts(G, 1), "M")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0  # no instance dict
+    one, t = Poly.one(G.desc), Poly.t(G.desc)
+    assert hash(ConjugacyDatum(*dm)) == hash(dm)
+    for bad in ((1, ((one + t, (1, 2)),)),  # not a non-increasing partition
+                (1, ((t, (1,)),)),  # t labels no invertible class
+                (2, dm.assignments)):  # sizes sum to 1
+        with pytest.raises(ValueError):
+            ConjugacyDatum(*bad)
+    with pytest.raises(ValueError):
+        dm._replace(n=2)
 
 
 def test_u13_total_class_structure():

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import unitary_powers
 from unitary_powers import polyalg
+from unitary_powers._numth import power
 from unitary_powers.counts import count_irreducible
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
@@ -282,13 +284,71 @@ def test_linear_kernels_and_tilde_match_the_schoolbook_reference(operands):
         assert tilde(f) == Poly(desc, [mul(conj(x), inv0) for x in reversed(f.codes)])
 
 
-def test_pow_mod_matches_repeated_multiplication():
-    f = Poly(F9, (2, 1, 0, 1, 1))  # t^4 + t^3 + t + 2
-    base = Poly(F9, (5, 7, 1))
-    power = Poly.one(F9)
-    for e in range(40):
-        assert polyalg.pow_mod(base, e, f) == power
-        power = (power * base) % f
+def _school_divmod(a, b):
+    # long division by the field's code operations
+    desc, db = a.desc, b.degree
+    rem, inv = list(a.codes), desc.inv_c(b.codes[-1])
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = quot[i - db] = desc.mul_c(rem[i], inv)
+        for j, y in enumerate(b.codes):
+            rem[i - db + j] = desc.add_c(rem[i - db + j], desc.neg_c(desc.mul_c(c, y)))
+    return Poly(desc, quot), Poly(desc, rem[:db])
+
+
+@pytest.mark.parametrize("desc", KERNEL_FIELDS, ids=lambda d: f"GF{d.order}")
+def test_list_kernels_match_schoolbook_product_and_division(desc):
+    rng = random.Random(desc.order)
+    codes = lambda k: [rng.choice((0, rng.randrange(desc.order))) for _ in range(k)]
+    for _ in range(30):
+        b = codes(rng.randrange(0, 6)) + [rng.randrange(1, desc.order)]
+        reduce = polyalg._remainder(desc, b)  # reused: its modulus terms are fixed
+        for _ in range(4):
+            a = codes(rng.randrange(0, 14))
+            assert Poly(desc, polyalg._product(desc, a, b)) == _school_mul(Poly(desc, a),
+                                                                           Poly(desc, b))
+            quot = [0] * max(len(a) - len(b) + 1, 0)
+            rem = reduce(list(a), quot)
+            assert (Poly(desc, quot), Poly(desc, rem)) == _school_divmod(Poly(desc, a),
+                                                                         Poly(desc, b))
+            assert rem == reduce(list(a)) and (not rem or rem[-1])
+    assert polyalg._product(desc, [], [1, 2]) == polyalg._product(desc, [3], []) == []
+
+
+def _reference_pow_mod(base, e, f):
+    # square-and-multiply on `Poly` objects, one product and one division a step
+    if e == 0:
+        return Poly.one(base.desc)
+    return power(base % f, e, lambda a, b: (a * b) % f)
+
+
+# F_4, F_16, F_64 add by XOR; F_9, F_25, F_49 by the Zech table
+POW_FIELDS = [F4, make_field(2, 2, 1), make_field(2, 3, 1), F9, make_field(5, 1, 1),
+              make_field(7, 1, 1)]
+
+
+@pytest.mark.parametrize("desc", POW_FIELDS, ids=lambda d: f"GF{d.order}")
+def test_pow_mod_matches_the_poly_object_reference(desc):
+    rng = random.Random(1000 + desc.order)
+    Q = desc.order
+    poly = lambda d, lead: Poly(desc, [rng.randrange(Q) for _ in range(d)] + [lead])
+    exponents = [0, 1, 2, rng.randrange(10**29, 10**30)] + [rng.randrange(10**6)
+                                                            for _ in range(3)]
+    for d in range(1, 7):
+        for f in (poly(d, 1), poly(d, rng.randrange(2, Q))):  # monic, non-monic
+            bases = [Poly(desc, ()), Poly.t(desc), poly(rng.randrange(d), rng.randrange(1, Q)),
+                     poly(rng.randrange(d, 2 * d + 4), rng.randrange(1, Q))]
+            for base, e in itertools.product(bases, exponents):
+                assert polyalg.pow_mod(base, e, f) == _reference_pow_mod(base, e, f), (f, base, e)
+
+
+def test_pow_mod_refuses_a_zero_modulus_and_a_negative_exponent():
+    f, x = Poly(F9, (2, 1, 0, 1, 1)), Poly.t(F9)
+    for e in (0, 1, 5):
+        with pytest.raises(ZeroDivisionError):
+            polyalg.pow_mod(x, e, Poly(F9, ()))
+    with pytest.raises(ValueError):
+        polyalg.pow_mod(x, -1, f)
 
 
 def test_t_cubed_minus_one_over_f4():
