@@ -27,21 +27,19 @@ _EXPORTS = {
     for module, names in (
         ("_numth", "EnumerationBoundError InvariantError"),
         ("gf", "gf FieldDesc FieldInvariantError make_field"),
-        ("polyalg", "polyalg FactorisationError Poly PolyClass butler_pattern classify"
-                    " compose_power factor is_irreducible is_m_power_pair"
-                    " is_mtilde_power tilde"),
+        ("polyalg", "polyalg FactorisationError Poly PolyClass classify compose_power"
+                    " factor is_irreducible is_m_power_pair is_mtilde_power tilde"),
         ("counts", "counts CountInvariantError CountRecord count_irreducible"
                    " count_mpower_pairs count_mtilde_scim count_pairs count_record"
                    " count_scim s_prime s_tilde_prime"),
         ("series", "series Series SeriesInvariantError binom_factor euler_factor"
                    " group_order_GL group_order_U"),
-        ("genfun", "genfun Family Kind SeriesRequest centralizer_order"
-                   " cyc_class_series cyc_elem_series sep_class_series sep_elem_series"
-                   " series_for ss_class_series ss_elem_series"),
+        ("genfun", "genfun Family Kind SeriesRequest cyc_class_series cyc_elem_series"
+                   " sep_class_series sep_elem_series series_for ss_class_series"
+                   " ss_elem_series"),
         ("oracle", "oracle ConjugacyDatum GroupTable MatrixClassKind MatrixRep"
-                   " OracleInvariantError block_matrix build_group char_poly"
-                   " check_block_power classify_matrix companion datum_of gl_class_data"
-                   " group_table power_image_counts"),
+                   " OracleInvariantError block_matrix build_group char_poly companion"
+                   " datum_of gl_class_data group_table power_image_counts"),
     )
     for name in names.split()
 }

@@ -7,15 +7,13 @@ time polynomial in log n.
 Two helpers are generic in the element type, so each job has one loop:
 `power(x, e, mul)` is the package's square-and-multiply (matrices,
 polynomials modulo f, field codes), and `order_dividing(t, is_one)` is its
-order loop (`mult_order`, `polyalg.root_order`, the oracle's unipotent
-seeds).  The two error bases that every layer shares live here too:
-`EnumerationBoundError` for refused sizes and `InvariantError` for failed
-result checks.
+order loop (the oracle's unipotent seeds).  The two error bases that every
+layer shares live here too: `EnumerationBoundError` for refused sizes and
+`InvariantError` for failed result checks.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -75,21 +73,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorint(n)))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p in factorint(n):
-        out -= out // p
-    return out
-
-
 def power(x, e: int, mul):
     """x^e for e >= 1, by square-and-multiply with the product `mul`.
 
@@ -118,20 +101,6 @@ def order_dividing(t: int, is_one) -> int:
         while t % p == 0 and is_one(t // p):
             t //= p
     return t
-
-
-def mult_order(a: int, n: int) -> int:
-    """Multiplicative order of a modulo n (order of a in (Z/n)^*).
-
-    n = 1 is allowed and gives 1.
-    """
-    if n < 1:
-        raise ValueError(f"invalid modulus {n}")
-    if n == 1:
-        return 1
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    return order_dividing(euler_phi(n), lambda k: pow(a, k, n) == 1)
 
 
 @lru_cache(maxsize=256)

@@ -37,16 +37,13 @@ Hypotheses: each family's series hold for the (q, M) that its entry in
 `_HYPOTHESES` admits, the one statement of them.  M = 1 is admitted
 everywhere and yields the unrestricted all-matrices series, used as a
 sanity baseline.
-
-`centralizer_order` gives |C_U(A)| for classes whose partitions are each
-[m] or [1^m], by the same block centralisers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from math import gcd, prod
+from math import gcd
 
 from . import counts, series
 from ._numth import is_prime
@@ -64,7 +61,6 @@ __all__ = [
     "cyc_elem_series",
     "ss_class_series",
     "ss_elem_series",
-    "centralizer_order",
 ]
 
 
@@ -228,17 +224,3 @@ def _class_size(q: int, n: int, centraliser: int) -> int:
             f"centraliser order {centraliser} does not divide |U({n}, {q})|"
         )
     return size
-
-
-def centralizer_order(datum: "oracle.ConjugacyDatum", q: int) -> int:
-    """|C_U(A)| for a conjugacy datum whose partitions are each [m] or [1^m]:
-    the product over the stored polynomials (SCIM, or the canonical member
-    of a pair) of `_block_centraliser`, which refuses any other partition.
-    Only this function needs `polyalg`, which is loaded here."""
-    from . import polyalg
-
-    items = datum.items()
-    if any(p.desc.q != q for p, _ in items):
-        raise ValueError("conjugacy datum does not live over F_q2 for this q")
-    return prod(_block_centraliser(q, phi.degree, polyalg.tilde(phi) != phi, lam)
-                for phi, lam in items)

@@ -63,9 +63,9 @@ from .series import group_order_U
 
 __all__ = [
     "OracleInvariantError", "MatrixRep", "is_unitary", "GroupTable", "ConjClass",
-    "ConjugacyDatum", "MatrixClassKind", "build_group", "group_table", "classify_matrix",
-    "datum_of", "gl_class_data", "char_poly", "power_image_counts", "PowerImageCounts",
-    "companion", "block_matrix", "check_block_power",
+    "ConjugacyDatum", "MatrixClassKind", "build_group", "group_table", "datum_of",
+    "gl_class_data", "char_poly", "power_image_counts", "PowerImageCounts", "companion",
+    "block_matrix",
 ]
 
 class OracleInvariantError(InvariantError):
@@ -371,16 +371,6 @@ def _element_datum(A: MatrixRep) -> ConjugacyDatum:
         return datum_of(A)
     except ValueError as exc:
         raise OracleInvariantError(f"a group element has no conjugacy datum: {exc}") from exc
-
-
-def classify_matrix(A: MatrixRep) -> MatrixClassKind:
-    """Separable / cyclic / semisimple flags of an invertible matrix.
-
-    Separable means squarefree characteristic polynomial (all partitions
-    [1]); semisimple means squarefree minimal polynomial (all-ones
-    partitions); cyclic means minimal = characteristic (single-part
-    partitions)."""
-    return _kind_of_partitions(lam for _, lam in gl_class_data(A))
 
 
 # ----------------------------------------------------------------------
@@ -779,23 +769,3 @@ def block_matrix(f: Poly, m: int) -> MatrixRep:
             if b + d < n:
                 codes[(b + i) * n + b + d + i] = 1
     return MatrixRep(f.desc, n, codes)
-
-
-def check_block_power(f: Poly, m: int, M: int) -> bool:
-    """Does U(f, m)^M land in the GL-class of U(g, m), for g the
-    characteristic polynomial of C_f^M?
-
-    Needs gcd(M, q) = 1 and irreducible f with f(0) != 0.  When C_f^M is not
-    cyclic (the powered eigenvalues drop degree), no companion matrix is
-    similar to it, there is no such g to compare against, and the statement
-    holds vacuously."""
-    desc = f.desc
-    if gcd(M, desc.q) != 1:
-        raise ValueError(f"block power check requires gcd(M, q) = 1, got M={M}, q={desc.q}")
-    if not polyalg.is_irreducible(f) or f.codes[0] == 0:
-        raise ValueError("block power check requires an irreducible f with f(0) != 0")
-    B = companion(f) ** M
-    if not classify_matrix(B).cyclic:
-        return True
-    g = char_poly(B)
-    return gl_class_data(block_matrix(f, m) ** M) == gl_class_data(block_matrix(g, m))

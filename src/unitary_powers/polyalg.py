@@ -48,8 +48,6 @@ as j/d is odd and phi^(2d) fixes b, b^-1 = phi^j(b) = phi^d(b).  (The same
 argument shows that a SCIM has odd degree.)  A root b of F with
 b^(q^d + 1) = 1 lies in F_(Q^d), since q^d + 1 divides Q^d - 1, so its
 minimal polynomial is a degree-d factor of F, and a SCIM by the above.
-`butler_pattern` predicts the full factor-degree multiset of f(x^m) from
-the multiplicative order of the roots of f.
 
 Coefficients are the field's integer codes (`gf`), as everywhere in the
 package: `Poly` is built from codes and keeps them as `codes`, `Poly.linear`
@@ -108,7 +106,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from ._numth import InvariantError, divisors, euler_phi, factorint, mult_order, order_dividing, power
+from ._numth import InvariantError, power
 from .gf import FieldDesc
 
 __all__ = [
@@ -122,9 +120,6 @@ __all__ = [
     "compose_power",
     "is_mtilde_power",
     "is_m_power_pair",
-    "butler_pattern",
-    "root_order",
-    "monic_polys",
     "irreducible_polys",
 ]
 
@@ -167,11 +162,11 @@ class Poly:
 
     @classmethod
     def one(cls, desc):
-        return cls(desc, (1,))
+        return _poly(desc, [1])
 
     @classmethod
     def t(cls, desc):
-        return cls(desc, (0, 1))
+        return _poly(desc, [0, 1])
 
     @classmethod
     def linear(cls, desc: FieldDesc, root: int) -> "Poly":
@@ -405,13 +400,6 @@ def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
 # enumeration
 # ----------------------------------------------------------------------
 
-def monic_polys(desc: FieldDesc, degree: int):
-    """All monic polynomials of the given degree, in lexicographic order
-    on the constant-first coefficient vector."""
-    for tail in itertools.product(range(desc.order), repeat=degree):
-        yield Poly(desc, tail + (1,))
-
-
 class _Sieved(Poly):
     """A monic irreducible listed by `irreducible_polys`; `classify` trusts
     the sieve and skips the irreducibility test for it."""
@@ -422,11 +410,11 @@ class _Sieved(Poly):
 @lru_cache(maxsize=256)
 def irreducible_polys(desc: FieldDesc, degree: int) -> tuple[Poly, ...]:
     """All monic irreducibles of the given degree (includes t in degree 1),
-    in the order of `monic_polys`.
+    in lexicographic order on their constant-first coefficient tails.
 
     Every product g*h, g a cached irreducible of degree e <= degree/2 and h
-    monic of degree degree - e, is struck from a bytearray indexed like
-    `monic_polys` (c0 the most significant base-Q digit).  The 256 most
+    monic of degree degree - e, is struck from a bytearray indexed by those
+    tails in that order (c0 the most significant base-Q digit).  The 256 most
     recently used (field, degree) lists are kept.
     """
     if degree < 1:
@@ -481,7 +469,7 @@ def classify(f: Poly) -> PolyClass:
         raise ValueError("classification is about polynomials of degree >= 1")
     if not f.is_monic():
         raise ValueError("classification requires a monic polynomial")
-    if f == Poly.t(f.desc):
+    if f.codes == (0, 1):
         return PolyClass.LINEAR_T
     if type(f) is not _Sieved and not is_irreducible(f):
         return PolyClass.REDUCIBLE
@@ -504,7 +492,7 @@ def _roots_are_mth_powers(f: Poly, M: int, E: int) -> bool:
     when x^(E / (E, M)) = 1 modulo f."""
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
-    return pow_mod(Poly.t(f.desc), E // gcd(E, M), f) == Poly.one(f.desc)
+    return pow_mod(Poly.t(f.desc), E // gcd(E, M), f).codes == (1,)
 
 
 def is_mtilde_power(f: Poly, M: int) -> bool:
@@ -523,46 +511,6 @@ def is_m_power_pair(f: Poly, M: int) -> bool:
     if classify(f) is not PolyClass.PAIR_MEMBER:
         raise ValueError("M-power classification applies to pair members")
     return _roots_are_mth_powers(f, M, f.desc.order ** f.degree - 1)
-
-
-def root_order(f: Poly) -> int:
-    """Multiplicative order of the roots of an irreducible f != t
-    (the order of t in the field F_Q[t]/(f))."""
-    if not is_irreducible(f) or f.codes[0] == 0:
-        raise ValueError("root order needs an irreducible polynomial with f(0) != 0")
-    f = f.monic()
-    one, x = Poly.one(f.desc), Poly.t(f.desc)
-    return order_dividing(f.desc.order**f.degree - 1, lambda k: pow_mod(x, k, f) == one)
-
-
-def butler_pattern(d: int, t: int, m: int, Q: int) -> tuple[tuple[int, int], ...]:
-    """Predicted factor degrees of f(x^m) for an irreducible f of degree d
-    over F_Q whose roots have multiplicative order t.
-
-    Split m = m1*m2 with gcd(m1, t) = 1 and every prime of m2 dividing t.
-    For each divisor e of m1 there are d*m2*phi(e)/ord_Q(e*m2*t) irreducible
-    factors, each of degree ord_Q(e*m2*t) (ord_Q(s) = multiplicative order of
-    Q modulo s).  Returned as ((degree, count), ...) with one entry per
-    divisor, sorted.
-    """
-    if d < 1 or t < 1 or m < 1:
-        raise ValueError("d, t, m must be positive")
-    if gcd(m, Q) != 1:
-        raise ValueError(f"butler_pattern requires gcd(m, Q) = 1, got m={m}, Q={Q}")
-    m1, m2 = 1, 1
-    for p, e in factorint(m).items():
-        if t % p == 0:
-            m2 *= p**e
-        else:
-            m1 *= p**e
-    out = []
-    for e in divisors(m1):
-        deg = mult_order(Q, e * m2 * t)
-        count, rem = divmod(d * m2 * euler_phi(e), deg)
-        if rem:
-            raise FactorisationError(f"factor count {d * m2 * euler_phi(e)}/{deg} is not integral")
-        out.append((deg, count))
-    return tuple(sorted(out))
 
 
 # ----------------------------------------------------------------------

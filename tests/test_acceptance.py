@@ -8,9 +8,8 @@ the PASS lines.
 from fractions import Fraction
 from math import gcd
 
+from references import butler_pattern, centralizer_order, check_block_power, root_order
 from unitary_powers import (
-    centralizer_order,
-    check_block_power,
     count_mtilde_scim,
     count_scim,
     cyc_class_series,
@@ -26,13 +25,11 @@ from unitary_powers import (
 from unitary_powers.gf import make_field
 from unitary_powers.polyalg import (
     PolyClass,
-    butler_pattern,
     classify,
     compose_power,
     factor,
     irreducible_polys,
     is_mtilde_power,
-    root_order,
 )
 from unitary_powers._numth import is_prime
 

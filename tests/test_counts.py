@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unitary_powers
+from references import divisors, euler_phi, mult_order
 from unitary_powers import cli, counts
-from unitary_powers._numth import divisors, euler_phi, mult_order
 from unitary_powers.counts import (
     CountInvariantError,
     CountRecord,
@@ -342,14 +342,10 @@ def test_mpower_pair_closed_form_equals_the_order_walk(cell):
 # the paper's and the memoir's own forms of each count, written out here
 # independently of `counts._exact_degree`
 
-def divisors_of(d):
-    return [l for l in range(1, d + 1) if d % l == 0]
-
-
 def memoir_scim(q, d):
     if d % 2 == 0:
         return 0
-    total = sum(brute_mobius(l) * (q ** (d // l) + 1) for l in divisors_of(d))
+    total = sum(brute_mobius(l) * (q ** (d // l) + 1) for l in divisors(d))
     assert total % d == 0
     return total // d
 
@@ -359,14 +355,14 @@ def paper_mtilde_scim(q, d, M):
         return 0
     n = q**d + 1
     total = sum(
-        brute_mobius(l) * gcd(M * (q ** (2 * d // l) - 1), n) for l in divisors_of(d)
+        brute_mobius(l) * gcd(M * (q ** (2 * d // l) - 1), n) for l in divisors(d)
     )
     assert total % (d * gcd(M, n)) == 0
     return total // (d * gcd(M, n))
 
 
 def necklace(Q, d):
-    total = sum(brute_mobius(l) * Q ** (d // l) for l in divisors_of(d))
+    total = sum(brute_mobius(l) * Q ** (d // l) for l in divisors(d))
     assert total % d == 0
     return total // d
 
@@ -375,10 +371,10 @@ def paper_mpower_pairs(q, d, M):
     Q = q * q
     N = Q**d - 1
     P = N // gcd(M, N)
-    total = sum(brute_mobius(l) * gcd(Q ** (d // l) - 1, P) for l in divisors_of(d))
+    total = sum(brute_mobius(l) * gcd(Q ** (d // l) - 1, P) for l in divisors(d))
     if d % 2:
         total -= sum(
-            brute_mobius(l) * gcd(q**d + 1, Q ** (d // l) - 1, P) for l in divisors_of(d)
+            brute_mobius(l) * gcd(q**d + 1, Q ** (d // l) - 1, P) for l in divisors(d)
         )
     assert total % (2 * d) == 0
     return total // (2 * d)
@@ -420,7 +416,7 @@ def test_exact_degree_equals_the_subgroup_walk():
     for Q in (2, 3, 4, 5, 7, 8, 9):
         d = 1
         while Q**d <= 1 << 12:
-            for h in divisors_of(Q**d - 1):
+            for h in divisors(Q**d - 1):
                 assert _exact_degree(Q, d, h) == walk_exact_degree(Q, d, h), (Q, d, h)
                 cases += 1
             d += 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import centralizer_order
 from unitary_powers import genfun
 from unitary_powers.cli import PAIR_FIELD_BOUND
 from unitary_powers.genfun import (
@@ -15,7 +16,6 @@ from unitary_powers.genfun import (
     Kind,
     SeriesRequest,
     applicable_families,
-    centralizer_order,
     cyc_class_series,
     cyc_elem_series,
     sep_class_series,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import unitary_powers
+from references import order_by_walk
 from unitary_powers import EnumerationBoundError, gf
 from unitary_powers._numth import is_prime, prime_factors
 from unitary_powers.gf import FieldDesc, FieldInvariantError, make_field
@@ -30,16 +31,6 @@ def is_norm_one(desc, a):
     for _ in range(desc.q + 1):
         b = desc.mul_c(b, a)
     return b == 1
-
-
-def mul_order(desc, a):
-    # independent order computation by repeated multiplication
-    assert a != 0
-    k, b = 1, a
-    while b != 1:
-        b = desc.mul_c(b, a)
-        k += 1
-    return k
 
 
 def test_field_sizes():
@@ -84,7 +75,7 @@ def test_conj_fixes_zero_and_one():
 
 
 def test_conj_on_f9_generator():
-    gens = [a for a in range(1, F9.order) if mul_order(F9, a) == 8]
+    gens = [a for a in range(1, F9.order) if order_by_walk(a, F9.mul_c, 1) == 8]
     assert len(gens) == 4
     for g in gens:
         assert F9.conj_c(g) == F9.pow_c(g, 3)

@@ -8,9 +8,9 @@ import operator
 
 import pytest
 
+from references import euler_phi, order_by_walk
 from unitary_powers._numth import (
     EnumerationBoundError,
-    euler_phi,
     factorint,
     is_prime,
     order_dividing,
@@ -30,13 +30,6 @@ def repeated(x, e, mul, one):
     for _ in range(e):
         out = mul(out, x)
     return out
-
-
-def order_by_walk(x, mul, one):
-    k, y = 1, x
-    while y != one:
-        y, k = mul(y, x), k + 1
-    return k
 
 
 def check_power(x, mul, one):

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import unitary_powers
+from references import (centralizer_order, check_block_power, classify_matrix, elem_of_order,
+                        order_by_walk, root_order)
 from test_acceptance import ORACLE_PAIRS
-from test_numth import order_by_walk
 from unitary_powers import oracle
 from unitary_powers._numth import prime_power
-from unitary_powers.genfun import centralizer_order
 from unitary_powers.gf import _field, make_field
 from unitary_powers.oracle import (
     ConjugacyDatum,
@@ -32,8 +32,6 @@ from unitary_powers.oracle import (
     block_matrix,
     build_group,
     char_poly,
-    check_block_power,
-    classify_matrix,
     companion,
     datum_of,
     gl_class_data,
@@ -47,24 +45,11 @@ from unitary_powers.polyalg import (
     irreducible_polys,
     is_m_power_pair,
     is_mtilde_power,
-    root_order,
 )
 from unitary_powers.series import group_order_U
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
-
-
-def elem_of_order(desc, k):
-    # the least code of multiplicative order k, by repeated multiplication
-    for a in range(1, desc.order):
-        b, j = a, 1
-        while b != 1:
-            b = desc.mul_c(b, a)
-            j += 1
-        if j == k:
-            return a
-    raise AssertionError
 
 
 @pytest.mark.parametrize("n,q,size", [(1, 2, 3), (2, 2, 18), (1, 3, 4), (2, 3, 96)])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitary_powers
+from references import butler_pattern, elem_of_order, monic_polys, root_order
 from unitary_powers import polyalg
 from unitary_powers._numth import power
 from unitary_powers.counts import count_irreducible
@@ -22,7 +23,6 @@ from unitary_powers.polyalg import (
     FactorisationError,
     Poly,
     PolyClass,
-    butler_pattern,
     classify,
     compose_power,
     factor,
@@ -30,25 +30,11 @@ from unitary_powers.polyalg import (
     is_irreducible,
     is_m_power_pair,
     is_mtilde_power,
-    monic_polys,
-    root_order,
     tilde,
 )
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
-
-
-def elem_of_order(desc, k):
-    # the least code of multiplicative order k, by repeated multiplication
-    for a in range(1, desc.order):
-        b, j = a, 1
-        while b != 1:
-            b = desc.mul_c(b, a)
-            j += 1
-        if j == k:
-            return a
-    raise AssertionError(f"no element of order {k} in GF({desc.order})")
 
 
 # ----------------------------------------------------------------------

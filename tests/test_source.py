@@ -1,7 +1,7 @@
-"""Source checks: result-guarding invariants must survive `python -O`, every
-export resolves, the package's public names stay as they are and load
-lazily, every exception has one of the two error bases, and README's library
-sketch runs."""
+"""Source checks: result-guarding invariants must survive `python -O`, the
+three layers import nothing of each other, every export resolves, the
+public names stay as they are and load lazily, every exception has one of
+the two error bases, and README's library sketch runs."""
 
 import ast
 import importlib
@@ -29,6 +29,40 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def package_imports(path):
+    """"module" or "module.name" for each import of a package module in the
+    source at path, function-level ones included; a name taken from the
+    package itself counts as its defining module's."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".", 1)[1] for a in node.names
+                    if a.name.startswith("unitary_powers.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "unitary_powers"):
+            module = (node.module or "").removeprefix("unitary_powers").lstrip(".")
+            for a in node.names:
+                home = module or unitary_powers._EXPORTS.get(a.name, a.name)
+                out.add(home if home == a.name else f"{home}.{a.name}")
+    return out
+
+
+CLOSED_FORM_LAYERS, ORACLE_LAYER = ("counts", "series", "genfun"), ("gf", "polyalg", "oracle")
+
+
+def test_layers_import_nothing_of_each_other():
+    # the three layers check each other, so the closed forms and the series
+    # import nothing of the oracle, and the oracle takes only |U(n, q)| of them
+    imports = {path.stem: package_imports(path) for path in MODULES}
+    assert "series.group_order_U" in imports["oracle"]  # the scan sees what is there
+    crossings = [f"{layer} imports {name}"
+                 for layers, barred in ((CLOSED_FORM_LAYERS, ORACLE_LAYER),
+                                        (ORACLE_LAYER, CLOSED_FORM_LAYERS))
+                 for layer in layers for name in sorted(imports[layer])
+                 if name.split(".")[0] in barred and name != "series.group_order_U"]
+    assert crossings == []
 
 
 @pytest.mark.parametrize(
@@ -69,23 +103,22 @@ PUBLIC = (
     "FactorisationError", "Family", "FieldDesc", "FieldInvariantError", "GroupTable",
     "InvariantError", "Kind", "MatrixClassKind", "MatrixRep", "OracleInvariantError",
     "Poly", "PolyClass", "Series", "SeriesInvariantError", "SeriesRequest",
-    "binom_factor", "block_matrix", "build_group", "butler_pattern",
-    "centralizer_order", "char_poly", "check_block_power", "classify",
-    "classify_matrix", "companion", "compose_power", "count_irreducible",
-    "count_mpower_pairs", "count_mtilde_scim", "count_pairs", "count_record",
-    "count_scim", "counts", "cyc_class_series", "cyc_elem_series", "datum_of",
-    "euler_factor", "factor", "genfun", "gf", "gl_class_data", "group_order_GL",
-    "group_order_U", "group_table", "is_irreducible", "is_m_power_pair",
-    "is_mtilde_power", "make_field", "oracle", "polyalg", "power_image_counts",
-    "s_prime", "s_tilde_prime", "sep_class_series", "sep_elem_series", "series",
-    "series_for", "ss_class_series", "ss_elem_series", "tilde",
+    "binom_factor", "block_matrix", "build_group", "char_poly", "classify", "companion",
+    "compose_power", "count_irreducible", "count_mpower_pairs", "count_mtilde_scim",
+    "count_pairs", "count_record", "count_scim", "counts", "cyc_class_series",
+    "cyc_elem_series", "datum_of", "euler_factor", "factor", "genfun", "gf",
+    "gl_class_data", "group_order_GL", "group_order_U", "group_table", "is_irreducible",
+    "is_m_power_pair", "is_mtilde_power", "make_field", "oracle", "polyalg",
+    "power_image_counts", "s_prime", "s_tilde_prime", "sep_class_series",
+    "sep_elem_series", "series", "series_for", "ss_class_series", "ss_elem_series",
+    "tilde",
 )
 SUBMODULES = ("counts", "genfun", "gf", "oracle", "polyalg", "series")
 
 
 def test_public_names_are_pinned():
     assert sorted(unitary_powers.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 60
 
 
 @pytest.mark.parametrize("name", PUBLIC)
