@@ -263,13 +263,6 @@ class FieldDesc:
             raise ZeroDivisionError("inverse of zero field element")
         return self.exp_table[self.order - 1 - self.log_table[a]]
 
-    def pow_c(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero field element")
-            return 0 if e else 1
-        return self.exp_table[self.log_table[a] * e % (self.order - 1)]
-
     def conj_c(self, a: int) -> int:
         if a == 0:
             return 0

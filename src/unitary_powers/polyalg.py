@@ -20,7 +20,8 @@ GL(d, q^2)).  Neither test builds f(x^M): each is one `pow_mod` modulo f,
 asking whether x^(E / (E, M)) = 1 modulo f, with E = Q^d - 1 for a pair
 member (Q = q^2) and E = q^d + 1 for a SCIM.  The work is that of
 arithmetic modulo a polynomial of degree d, and M enters only through
-gcd(E, M), so an M of any size is decided at once.
+gcd(E, M), so an M of any size is decided at once, and the answer is cached
+(bounded) by f and E / (E, M), which the M sharing gcd(E, M) share.
 
 Why one power of x modulo f.  The roots of f lie in the cyclic group C_E:
 in F_(Q^d)^* for a pair member, and in its subgroup of order q^d + 1 for
@@ -62,9 +63,9 @@ layer runs in one of two kernels on code lists: `_product`, which takes
 the logs of one operand's nonzero coefficients once, and `_remainder`,
 which takes the logs of a modulus's terms once and returns a function that
 reduces any code list modulo it in place.  `Poly.__mul__`, `__divmod__`
-and `__mod__` wrap them; `pow_mod`, the characteristic-2 trace of
-`_edf_split` and the sieve call them on plain lists, so a square-and-multiply
-builds one `Poly`, for its result.
+and `__mod__` wrap them; `pow_mod` and the characteristic-2 trace of
+`_edf_split` call them on plain lists, so a square-and-multiply builds one
+`Poly`, for its result, and the sieve calls `_product` on half cofactors.
 
 `is_irreducible` is Ben-Or's test (1981), read off the distinct-degree
 split that factorisation uses: a monic f of degree d is irreducible iff
@@ -80,17 +81,11 @@ the test.  Every other polynomial gets the full test.
 Factorisation is distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting with random splitters (Cantor & Zassenhaus 1981;
 von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  No squarefree
-stage comes first: the distinct-degree split strips the degree-i factors of
-f layer by layer, each layer a squarefree product, so an irreducible of
-multiplicity e comes out of e layers, and `factor` counts how often each
-factor comes out.
-Each random splitter separates two of the factors with probability >= 1/2,
-so a split needs about two tries; the tries are capped at `_EDF_MAX_TRIES`,
-and reaching the cap raises `FactorisationError`, since it means the input
-was not a product of >= 2 distinct irreducibles of one degree.  The splitters
-come from a `random.Random` seeded in code from (deg h, e), so every run
-makes the same tries; and because factorisation is unique and `factor` sorts
-its output, the result would not depend on the splitters in any case.
+stage comes first: an irreducible of multiplicity e lies in e layers of the
+distinct-degree split (`_distinct_degree`), and `factor` counts them.  The
+splitters are seeded in code and their tries capped (`_edf_split`), so every
+run makes the same tries; as factorisation is unique and `factor` sorts its
+output, the result does not depend on them.
 
 Invariants that guard results (multiply-back, integral factor counts,
 splitter exhaustion) raise `FactorisationError`, which survives
@@ -102,6 +97,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections import deque
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -413,22 +409,43 @@ def irreducible_polys(desc: FieldDesc, degree: int) -> tuple[Poly, ...]:
     in lexicographic order on their constant-first coefficient tails.
 
     Every product g*h, g a cached irreducible of degree e <= degree/2 and h
-    monic of degree degree - e, is struck from a bytearray indexed by those
-    tails in that order (c0 the most significant base-Q digit).  The 256 most
+    monic of degree m = degree - e, is struck from a bytearray indexed by
+    those tails in that order (c0 the most significant base-Q digit).  With
+    h = L + t^k H, L of degree < k = ceil(m/2), the slot numbers of the g*L
+    are folded once per g, and each H strikes all Q^k slots of g*L + t^k g*H
+    in one pass of `map`: slot numbers add by XOR in characteristic 2;
+    otherwise the e coefficients where g*L and t^k g*H overlap are added by
+    rows of the field's addition table, built as needed.  The 256 most
     recently used (field, degree) lists are kept.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    Q = desc.order
+    Q, log, exp, zech = desc.order, desc.log_table, desc.exp_table, desc.zech_table
     keep = bytearray(b"\x01") * Q**degree
+    place = [Q ** (degree - 1 - i) for i in range(degree)]  # slot weight of coefficient i
+    rows = {0: range(Q)}  # odd p: rows[u][v] = u + v, built as needed
     for e in range(1, degree // 2 + 1):
-        hs = [(*tail, 1) for tail in itertools.product(range(Q), repeat=degree - e)]
+        k = (degree - e + 1) // 2
+        ov = e if zech else 0  # coefficients where g*L and t^k g*H meet, added by rows
+        highs = [(*tail, 1) for tail in itertools.product(range(Q), repeat=degree - e - k)]
         for g in irreducible_polys(desc, e):
-            for h in hs:
-                k = 0
-                for c in _product(desc, g.codes, h)[:degree]:
-                    k = k * Q + c
-                keep[k] = 0
+            gl = [_product(desc, g.codes, L) for L in itertools.product(range(Q), repeat=k)]
+            low = [sum(map(operator.mul, c[:k + e - ov], place)) for c in gl]
+            cols = list(zip(*(c[k + e - ov:] for c in gl)))  # each g*L has k + e codes
+            for H in highs:
+                gh = _product(desc, g.codes, H)  # coefficients k .. degree
+                base = sum(map(operator.mul, gh[ov:], place[k + ov:]))
+                if zech is None:  # characteristic 2: slot numbers add by XOR
+                    slots = map(base.__xor__, low)
+                else:
+                    for u in gh[:e]:
+                        if u not in rows:  # u + v = g^(log u + zech[log v - log u])
+                            rows[u] = [u] + [exp[log[u] + t] if (t := zech[log[v] - log[u]]) >= 0
+                                             else 0 for v in range(1, Q)]
+                    slots = map(sum, zip(low, itertools.repeat(base), *(
+                        map([w * s for s in rows[u]].__getitem__, col)
+                        for w, u, col in zip(place[k:], gh, cols))))
+                deque(map(keep.__setitem__, slots, itertools.repeat(0)), maxlen=0)
     tails = itertools.compress(itertools.product(range(Q), repeat=degree), keep)
     return tuple(_poly(desc, [*tail, 1], _Sieved) for tail in tails)
 
@@ -492,7 +509,13 @@ def _roots_are_mth_powers(f: Poly, M: int, E: int) -> bool:
     when x^(E / (E, M)) = 1 modulo f."""
     if M < 1:
         raise ValueError(f"M = {M} must be a positive integer")
-    return pow_mod(Poly.t(f.desc), E // gcd(E, M), f).codes == (1,)
+    return _x_power_is_one(f, E // gcd(E, M))
+
+
+@lru_cache(maxsize=4096)
+def _x_power_is_one(f: Poly, k: int) -> bool:
+    """x^k = 1 modulo f, memoised (bounded) by (f, k)."""
+    return pow_mod(Poly.t(f.desc), k, f).codes == (1,)
 
 
 def is_mtilde_power(f: Poly, M: int) -> bool:

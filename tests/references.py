@@ -15,7 +15,16 @@ from unitary_powers.oracle import (
     companion,
     gl_class_data,
 )
-from unitary_powers.polyalg import FactorisationError, Poly, is_irreducible, pow_mod, tilde
+from unitary_powers.polyalg import (
+    FactorisationError,
+    Poly,
+    _poly,
+    _product,
+    _Sieved,
+    is_irreducible,
+    pow_mod,
+    tilde,
+)
 
 
 def divisors(n: int) -> list[int]:
@@ -56,6 +65,38 @@ def order_by_walk(x, mul, one) -> int:
 def elem_of_order(desc, k: int) -> int:
     """The least field code of multiplicative order k."""
     return next(a for a in range(1, desc.order) if order_by_walk(a, desc.mul_c, 1) == k)
+
+
+def field_pow(desc, a: int, e: int) -> int:
+    """The code of a^e in the field `desc`, for any integer e (a != 0 when
+    e < 0), by the field's log tables."""
+    if a == 0:
+        if e < 0:
+            raise ZeroDivisionError("negative power of zero field element")
+        return 0 if e else 1
+    return desc.exp_table[desc.log_table[a] * e % (desc.order - 1)]
+
+
+def product_sieve(desc, degree: int) -> tuple[Poly, ...]:
+    """The monic irreducibles of the given degree, in the order and of the
+    type of `polyalg.irreducible_polys`, by the sieve it ran before its
+    strikes moved into `map` passes: one `_product` and one base-Q fold per
+    pair (g, h), g irreducible of degree e <= degree/2 (from this sieve) and
+    h monic of degree degree - e."""
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    Q = desc.order
+    keep = bytearray(b"\x01") * Q**degree
+    for e in range(1, degree // 2 + 1):
+        hs = [(*tail, 1) for tail in itertools.product(range(Q), repeat=degree - e)]
+        for g in product_sieve(desc, e):
+            for h in hs:
+                k = 0
+                for c in _product(desc, g.codes, h)[:degree]:
+                    k = k * Q + c
+                keep[k] = 0
+    tails = itertools.compress(itertools.product(range(Q), repeat=degree), keep)
+    return tuple(_poly(desc, [*tail, 1], _Sieved) for tail in tails)
 
 
 def monic_polys(desc, degree: int):

@@ -10,6 +10,7 @@ from math import gcd
 
 from references import butler_pattern, centralizer_order, check_block_power, root_order
 from unitary_powers import (
+    count_irreducible,
     count_mtilde_scim,
     count_scim,
     cyc_class_series,
@@ -35,7 +36,7 @@ from unitary_powers._numth import is_prime
 
 F4 = make_field(2, 1, 1)
 F9 = make_field(3, 1, 1)
-DESCS = {2: F4, 3: F9}
+DESCS = {2: F4, 3: F9, 4: make_field(2, 2, 1), 5: make_field(5, 1, 1)}
 
 ORACLE_PAIRS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (2, 5)]
 FAMILY_TAG = {"sep": "separable", "cyc": "cyclic", "ss": "semisimple"}
@@ -53,13 +54,12 @@ def oracle_counts(n, q, M):
 
 def test_criterion_1_mtilde_count_formula_vs_enumeration():
     checked = 0
-    for q in (2, 3):
+    for q in (2, 3, 4, 5):
         d = 1
-        while q ** (2 * d) <= 4096:
-            scims = [
-                f for f in irreducible_polys(DESCS[q], d)
-                if classify(f) is PolyClass.SCIM
-            ]
+        while q ** (2 * d) <= 2**16:
+            irreducibles = irreducible_polys(DESCS[q], d)
+            assert len(irreducibles) == count_irreducible(q * q, d), (q, d)
+            scims = [f for f in irreducibles if classify(f) is PolyClass.SCIM]
             assert count_scim(q, d) == len(scims), (q, d)
             for M in (2, 3, 4, 5, 6):
                 brute = sum(is_mtilde_power(f, M) for f in scims)

@@ -146,7 +146,7 @@ def test_count_mpower_pairs_examples():
         assert count_mpower_pairs(2, 1, M) == 0  # there are no pairs at all
 
 
-@pytest.mark.parametrize("q,ds", [(2, (1, 2, 3)), (3, (1, 2))])
+@pytest.mark.parametrize("q,ds", [(2, (1, 2, 3, 4)), (3, (1, 2, 3))])
 def test_count_mpower_pairs_matches_polynomial_enumeration(q, ds):
     # the order-weighted enumeration must agree with factoring f(x^M) for
     # every pair member

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unitary_powers
-from references import order_by_walk
+from references import field_pow, order_by_walk
 from unitary_powers import EnumerationBoundError, gf
 from unitary_powers._numth import is_prime, prime_factors
 from unitary_powers.gf import FieldDesc, FieldInvariantError, make_field
@@ -78,7 +78,7 @@ def test_conj_on_f9_generator():
     gens = [a for a in range(1, F9.order) if order_by_walk(a, F9.mul_c, 1) == 8]
     assert len(gens) == 4
     for g in gens:
-        assert F9.conj_c(g) == F9.pow_c(g, 3)
+        assert F9.conj_c(g) == field_pow(F9, g, 3)
         assert F9.conj_c(F9.conj_c(g)) == g
 
 
@@ -119,13 +119,13 @@ def test_norm_one_conventions():
 
 def test_power_map_identity_exponent():
     for a in range(F9.order):
-        assert F9.pow_c(a, 1) == a
+        assert field_pow(F9, a, 1) == a
 
 
 def test_power_map_on_the_norm_one_circle_of_f4():
     mu3 = {a for a in range(F4.order) if is_norm_one(F4, a)}
-    assert {F4.pow_c(a, 3) for a in mu3} == {1}
-    assert {F4.pow_c(a, 2) for a in mu3} == mu3
+    assert {field_pow(F4, a, 3) for a in mu3} == {1}
+    assert {field_pow(F4, a, 2) for a in mu3} == mu3
 
 
 @pytest.mark.parametrize("desc", [F4, F9, F16], ids=lambda d: f"GF{d.order}")
@@ -133,7 +133,7 @@ def test_power_map_composes(desc):
     for a in range(desc.order):
         for M in (2, 3, 5):
             for N in (2, 3, 5):
-                assert desc.pow_c(desc.pow_c(a, M), N) == desc.pow_c(a, M * N)
+                assert field_pow(desc, field_pow(desc, a, M), N) == field_pow(desc, a, M * N)
 
 
 def broken_modulus(p, degree):
@@ -225,7 +225,8 @@ def test_tables_match_polynomial_arithmetic_on_f_257_squared():
                 continue
             inv = desc._pow_raw(a, n - 1)
             assert desc.inv_c(a) == inv
-            assert desc.pow_c(a, e) == (desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e))
+            want = desc._pow_raw(a, e) if e >= 0 else desc._pow_raw(inv, -e)
+            assert field_pow(desc, a, e) == want
 
 
 @pytest.mark.parametrize(

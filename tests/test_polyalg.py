@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitary_powers
-from references import butler_pattern, elem_of_order, monic_polys, root_order
+from references import (butler_pattern, elem_of_order, field_pow, monic_polys, product_sieve,
+                        root_order)
 from unitary_powers import polyalg
 from unitary_powers._numth import power
 from unitary_powers.counts import count_irreducible
@@ -58,7 +59,7 @@ def test_tilde_fixes_norm_one_linear_over_f4():
 def test_tilde_moves_order_eight_linear_over_f9():
     g = elem_of_order(F9, 8)
     f = Poly.linear(F9, g)
-    assert tilde(f) == Poly.linear(F9, F9.pow_c(g, -3))
+    assert tilde(f) == Poly.linear(F9, field_pow(F9, g, -3))
     assert tilde(f) != f
 
 
@@ -147,6 +148,9 @@ def test_factor_and_sieve_caches_are_bounded():
     sieve_max = irreducible_polys.cache_info().maxsize
     assert factor_max is not None and factor_max >= 1024
     assert sieve_max is not None and sieve_max >= 64
+    # one `enumerate` round makes 735 power tests on 448 distinct (f, k)
+    power_max = polyalg._x_power_is_one.cache_info().maxsize
+    assert power_max is not None and power_max >= 448
 
 
 # the product sieve: the nine cells of the `enumerate` benchmark workload,
@@ -176,6 +180,22 @@ def test_sieve_matches_trial_division_and_the_necklace_count(desc, d):
     assert list(sieved) == _trial_division(desc, d, smaller)
     assert len(sieved) == count_irreducible(desc.order, d)
     assert all(is_irreducible(f) for f in sieved)
+
+
+# every (Q, d) with Q^d <= 2^16 over F_4, F_9, F_16, F_25 and F_49
+REFERENCE_SIEVE_CELLS = [(desc, d) for desc in (F4, F9, make_field(2, 2, 1), make_field(5, 1, 1),
+                                                 make_field(7, 1, 1))
+                         for d in range(1, 9) if desc.order**d <= 2**16]
+
+
+@pytest.mark.parametrize("desc,d", REFERENCE_SIEVE_CELLS,
+                         ids=[f"GF{desc.order}-d{d}" for desc, d in REFERENCE_SIEVE_CELLS])
+def test_sieve_matches_the_product_sieve_reference(desc, d):
+    # the strikes in `map` passes list the same codes, in the same order and
+    # of the same type, as one `_product` and one fold per pair (g, h)
+    sieved, want = irreducible_polys(desc, d), product_sieve(desc, d)
+    assert [f.codes for f in sieved] == [f.codes for f in want]
+    assert {type(f) for f in sieved} == {type(f) for f in want} == {polyalg._Sieved}
 
 
 @pytest.mark.parametrize("desc,d", [(F4, 3), (F4, 4), (F9, 3)], ids=["q2-d3", "q2-d4", "q3-d3"])
@@ -345,7 +365,7 @@ def test_t_cubed_minus_one_over_f4():
     assert all(m == 1 for _, m in fs)
     # roots are exactly the norm-one circle of F4
     roots = {a for a in range(F4.order) if f(a) == 0}
-    assert roots == {a for a in range(1, F4.order) if F4.pow_c(a, 3) == 1}
+    assert roots == {a for a in range(1, F4.order) if field_pow(F4, a, 3) == 1}
 
 
 def test_factor_of_irreducible_and_of_a_square():
@@ -627,6 +647,30 @@ def test_power_tests_depend_on_M_only_through_its_gcd_with_E(desc, d_max):
                     huge_times.append(time.perf_counter() - start)
                 assert got == test(f, gcd(M, E)), (str(f), M)
     assert max(huge_times) < 0.5, f"a huge M took {max(huge_times):.3f} s"
+
+
+@pytest.mark.parametrize("desc,d_max", [(F4, 4), (F9, 3)], ids=["GF4", "GF9"])
+def test_power_tests_equal_an_uncached_pow_mod_on_a_miss_and_a_hit(desc, d_max):
+    # the power tests cache x^k = 1 mod f by (f, k), k = E / (E, M); each
+    # M is asked twice, and the second answer comes from the cache
+    cached = polyalg._x_power_is_one
+    cached.cache_clear()
+    x, one = Poly.t(desc), Poly.one(desc)
+    for d in range(1, d_max + 1):
+        for f in irreducible_polys(desc, d):
+            kind = classify(f)
+            if kind is PolyClass.LINEAR_T:
+                continue
+            if kind is PolyClass.SCIM:
+                test, E = is_mtilde_power, desc.q**d + 1
+            else:
+                test, E = is_m_power_pair, desc.order**d - 1
+            for M in range(1, 13):
+                want = polyalg.pow_mod(x, E // gcd(E, M), f) == one
+                assert test(f, M) == want, (str(f), M)
+                hits = cached.cache_info().hits
+                assert test(f, M) == want, (str(f), M)
+                assert cached.cache_info().hits == hits + 1
 
 
 # ----------------------------------------------------------------------
