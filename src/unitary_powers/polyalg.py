@@ -74,9 +74,10 @@ irreducible factor of degree i <= d/2, which divides x^(Q^i) - x.  So the
 split of f is [(f, d)] exactly when f is irreducible, whether or not f is
 squarefree.
 
-`irreducible_polys` is a product sieve, so its output is irreducible by
-construction; it is of a private `Poly` subclass, for which `classify` skips
-the test.  Every other polynomial gets the full test.
+`irreducible_polys` is a product sieve whose strikes run in `map` passes over
+half cofactors, so its output is irreducible by construction; it is of a
+private `Poly` subclass, for which `classify` skips the test.  Every other
+polynomial gets the full test.
 
 Factorisation is distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting with random splitters (Cantor & Zassenhaus 1981;
