@@ -79,10 +79,9 @@ def field_pow(desc, a: int, e: int) -> int:
 
 def product_sieve(desc, degree: int) -> tuple[Poly, ...]:
     """The monic irreducibles of the given degree, in the order and of the
-    type of `polyalg.irreducible_polys`, by the sieve it ran before its
-    strikes moved into `map` passes: one `_product` and one base-Q fold per
-    pair (g, h), g irreducible of degree e <= degree/2 (from this sieve) and
-    h monic of degree degree - e."""
+    type of `polyalg.irreducible_polys`, by a plain product sieve: one
+    `_product` and one base-Q fold per pair (g, h), g irreducible of degree
+    e <= degree/2 (from this sieve) and h monic of degree degree - e."""
     if degree < 1:
         raise ValueError("degree must be positive")
     Q = desc.order
